@@ -38,8 +38,6 @@ pub struct ScalingRow {
     pub shards: usize,
     /// Index overhead in bytes (shards + router).
     pub size_bytes: usize,
-    /// Whether the learned router fast path was active.
-    pub learned_router: bool,
     /// Mean scalar `lower_bound` ns per query.
     pub scalar_ns: f64,
     /// Mean bucketed `lower_bound_batch` ns per query (chunks of
@@ -88,7 +86,6 @@ pub fn run(cfg: &BenchConfig) -> Vec<ScalingRow> {
             ScalingRow {
                 shards: idx.shard_count(),
                 size_bytes: idx.size_bytes(),
-                learned_router: idx.router().is_learned(),
                 scalar_ns,
                 batch_ns,
                 parallel_ns,
@@ -114,11 +111,7 @@ pub fn print(rows: &[ScalingRow], keys: usize) {
     );
     for r in rows {
         let mut cells = vec![
-            format!(
-                "{}{}",
-                r.shards,
-                if r.learned_router { "" } else { " (binary)" }
-            ),
+            r.shards.to_string(),
             format!("{:.2}", mb(r.size_bytes)),
             format!("{:.0}", r.scalar_ns),
             format!(
@@ -140,7 +133,6 @@ pub fn print(rows: &[ScalingRow], keys: usize) {
         "parallel = lower_bound_batch_parallel over the whole workload; host exposes {cores} core(s) — speedup is bounded by that"
     ));
     t.note("batched = per-shard bucketed lower_bound_batch in chunks of 1024 (phase-split within each shard)");
-    t.note("router marked (binary) when the boundary keys were too degenerate for the learned fast path");
     t.print();
     println!();
 }

@@ -50,8 +50,7 @@ pub use li_index::{KeyStore, Prediction, RangeIndex};
 pub use multidim::ZOrderRmi;
 pub use paging::{PagedRmi, PagedStore};
 pub use rmi::{
-    train_count, Leaf, LeafKind, LeafModelParams, LeafParams, Rmi, RmiConfig, RmiParams, RmiStats,
-    TopModel,
+    train_count, LeafModelParams, LeafParams, Rmi, RmiConfig, RmiParams, RmiStats, TopModel,
 };
 pub use run::SortedRun;
 pub use search::SearchStrategy;

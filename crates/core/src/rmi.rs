@@ -26,9 +26,8 @@
 use crate::search::{search_with_widening, SearchStrategy};
 use li_btree::BTreeIndex;
 use li_index::{KeyStore, Prediction, RangeIndex};
-use li_models::{
-    clamp_position, FeatureMap, LinearModel, Mlp, MlpConfig, Model, MultivariateLinear,
-};
+use li_models::{FeatureMap, LinearModel, Mlp, MlpConfig, Model, MultivariateLinear};
+use std::cell::Cell;
 
 /// Stage-0 model family (§3.3's model zoo).
 #[derive(Debug, Clone, PartialEq)]
@@ -88,15 +87,6 @@ enum TrainedTop {
 }
 
 impl TrainedTop {
-    #[inline]
-    fn predict(&self, x: f64) -> f64 {
-        match self {
-            TrainedTop::Linear(m) => m.predict(x),
-            TrainedTop::Multivariate(m) => m.predict(x),
-            TrainedTop::Mlp(m) => m.predict(x),
-        }
-    }
-
     fn size_bytes(&self) -> usize {
         // Deployment accounting: f32 weights, as LIF code-generation
         // would emit (§3.1). Stored training form is f64.
@@ -168,50 +158,6 @@ impl RmiConfig {
     pub fn with_hybrid(mut self, threshold: u32) -> Self {
         self.hybrid_threshold = Some(threshold);
         self
-    }
-}
-
-/// A last-stage model (Algorithm 1's `index[M][j]`).
-#[derive(Debug, Clone)]
-pub enum LeafKind {
-    /// Simple linear regression over the leaf's keys.
-    Linear(LinearModel),
-    /// Hybrid fallback: a B-Tree over the leaf's key range, used when
-    /// the linear model's error exceeded the threshold.
-    BTree {
-        /// Global position of the first key covered by this leaf.
-        offset: usize,
-        /// B-Tree over `data[offset .. offset + len]`.
-        tree: Box<BTreeIndex>,
-    },
-}
-
-/// A trained leaf with its error envelope.
-#[derive(Debug, Clone)]
-pub struct Leaf {
-    /// The model (or B-Tree fallback).
-    pub kind: LeafKind,
-    /// Worst under-prediction: `min(position − prediction)` over the
-    /// leaf's keys.
-    pub min_err: i64,
-    /// Worst over-prediction: `max(position − prediction)`.
-    pub max_err: i64,
-    /// Standard deviation of the prediction error (drives the σ of
-    /// biased quaternary search).
-    pub std_err: f64,
-    /// Number of keys routed to this leaf at training time.
-    pub n_keys: usize,
-}
-
-impl Leaf {
-    fn empty() -> Self {
-        Self {
-            kind: LeafKind::Linear(LinearModel::constant(0.0)),
-            min_err: 0,
-            max_err: 0,
-            std_err: 0.0,
-            n_keys: 0,
-        }
     }
 }
 
@@ -300,28 +246,194 @@ pub struct RmiParams {
 /// "2nd stage models: 10k → 0.15MB" row.)
 const LEAF_DEPLOY_BYTES: usize = 4 + 4 + 2 + 2 + 4;
 
-/// Process-wide count of RMI training runs ([`Rmi::build`] calls).
-/// Exists so persistence tests can *prove* that a warm load rebuilds
-/// structure without retraining: take the count, load, take it again,
-/// assert equal.
-static TRAIN_EVENTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+thread_local! {
+    /// This thread's count of RMI training runs (see [`train_count`]).
+    static TRAIN_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The number of RMI training runs ([`Rmi::build`] calls) this process
-/// has executed so far. [`Rmi::from_params`] does not bump it — that is
-/// the warm-restart guarantee the persistence suite asserts.
+/// The number of RMI training runs ([`Rmi::build`] calls) the *calling
+/// thread* has executed so far. [`Rmi::from_params`] does not bump it —
+/// that is the warm-restart guarantee the persistence suite asserts:
+/// take the count, load or recover, take it again, assert equal.
+///
+/// The count is per thread, so training on other threads (concurrent
+/// tests, background compaction workers) never moves it between the two
+/// reads. Snapshot loads and WAL replay run on the caller's thread, so a
+/// model fitted by either would still show up in the caller's count.
 pub fn train_count() -> u64 {
-    TRAIN_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
+    TRAIN_EVENTS.with(Cell::get)
+}
+
+/// One routing model with its coefficients pre-multiplied by `m / n`,
+/// so that Algorithm 1's `⌊m · f(x) / n⌋` is a single multiply-add and
+/// a saturating clamp into `[0, m)`.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    slope: f64,
+    intercept: f64,
+}
+
+impl Hop {
+    /// `position ≈ slope · y + intercept` over `n` keys, rescaled to
+    /// pick one of `m` next-stage models.
+    fn scaled(slope: f64, intercept: f64, m: usize, n: usize) -> Self {
+        let scale = if n == 0 { 0.0 } else { m as f64 / n as f64 };
+        Self {
+            slope: slope * scale,
+            intercept: intercept * scale,
+        }
+    }
+
+    /// The picked model index, at most `last`. The float-to-int cast
+    /// saturates, so negative and NaN predictions pick model 0.
+    #[inline]
+    fn pick(self, y: f64, last: usize) -> usize {
+        ((self.slope * y + self.intercept) as usize).min(last)
+    }
+}
+
+/// An inner stage of the cascade: its models and the largest index they
+/// may pick in the stage after it.
+#[derive(Debug, Clone)]
+struct Stage {
+    hops: Box<[Hop]>,
+    last: usize,
+}
+
+/// [`Slot::tree`] of a linear leaf.
+const LINEAR_LEAF: u32 = u32::MAX;
+
+/// The hot state of one leaf: everything a lookup reads after routing,
+/// in 32 bytes aligned to 32 so that a slot never straddles a cache line.
+#[repr(C, align(32))]
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    slope: f64,
+    intercept: f64,
+    /// The error envelope saturated to `i32`. A window the saturation
+    /// leaves too narrow is repaired by the widening search.
+    min_err: i32,
+    max_err: i32,
+    /// `⌈σ⌉`, at least 1: the biased-quaternary probe offset.
+    sigma: u32,
+    /// Index into [`LookupPlan::trees`] for a hybrid leaf, or
+    /// [`LINEAR_LEAF`].
+    tree: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+/// The flat lookup plan: the routing cascade with pre-scaled
+/// coefficients and one contiguous slot table of leaves. Every lookup
+/// reads it, and training routes keys through the same
+/// [`LookupPlan::leaf`], so a stored key always lands in the leaf whose
+/// error envelope was measured over it.
+#[derive(Debug, Clone)]
+struct LookupPlan {
+    /// The stage-0 model. Only a non-linear top is evaluated at lookup;
+    /// a linear one is folded into `top_hop`.
+    top: TrainedTop,
+    /// Stage 0's pick: over the key itself for a linear top, over the
+    /// top model's output otherwise.
+    top_hop: Hop,
+    top_last: usize,
+    mids: Vec<Stage>,
+    slots: Box<[Slot]>,
+    /// Hybrid B-Tree leaves, each with the global position of its first
+    /// key.
+    trees: Vec<(usize, BTreeIndex)>,
+}
+
+impl LookupPlan {
+    /// A cascade of just `top`, whose picks index a first stage of `m`
+    /// models over `n` keys.
+    fn new(top: TrainedTop, m: usize, n: usize) -> Self {
+        let top_hop = match &top {
+            TrainedTop::Linear(l) => Hop::scaled(l.slope(), l.intercept(), m, n),
+            _ => Hop::scaled(1.0, 0.0, m, n),
+        };
+        Self {
+            top,
+            top_hop,
+            top_last: m - 1,
+            mids: Vec::new(),
+            slots: Box::new([]),
+            trees: Vec::new(),
+        }
+    }
+
+    /// Append an inner stage of linear `(slope, intercept)` models whose
+    /// picks index a next stage of `m` models.
+    fn push_stage(&mut self, models: &[(f64, f64)], m: usize, n: usize) {
+        self.mids.push(Stage {
+            hops: models
+                .iter()
+                .map(|&(s, i)| Hop::scaled(s, i, m, n))
+                .collect(),
+            last: m - 1,
+        });
+    }
+
+    /// Route `x` through the cascade (Algorithm 1 line 9 at every
+    /// stage): the index of its model in the stage after the last one
+    /// pushed, which is its leaf once the plan is complete.
+    #[inline]
+    fn leaf(&self, x: f64) -> usize {
+        let y = match &self.top {
+            TrainedTop::Linear(_) => x,
+            TrainedTop::Multivariate(m) => m.predict(x),
+            TrainedTop::Mlp(m) => m.predict(x),
+        };
+        let mut i = self.top_hop.pick(y, self.top_last);
+        for stage in &self.mids {
+            i = stage.hops[i].pick(x, stage.last);
+        }
+        i
+    }
+
+    /// The last-mile search plan `(pos, lo, hi, sigma)` for `key` over
+    /// `n > 0` keys.
+    #[inline]
+    fn window(&self, key: u64, n: usize) -> (usize, usize, usize, usize) {
+        let x = key as f64;
+        let slot = &self.slots[self.leaf(x)];
+        if slot.tree != LINEAR_LEAF {
+            // The leaf B-Tree answers exactly for keys inside its range;
+            // boundary results are certified globally by the widening
+            // search (handles keys mis-routed to this leaf).
+            let (offset, tree) = &self.trees[slot.tree as usize];
+            let pos = (offset + tree.lower_bound(key)).min(n);
+            return (pos, pos, pos, 1);
+        }
+        let pos = leaf_position(slot.slope, slot.intercept, x, n);
+        let lo = pos.saturating_add_signed(slot.min_err as isize).min(n);
+        let hi = (pos.saturating_add_signed(slot.max_err as isize) + 1).min(n);
+        (pos, lo, hi, slot.sigma as usize)
+    }
+}
+
+/// A linear leaf's position prediction for `x` over `n > 0` keys,
+/// clamped into `[0, n)`; negative and NaN predictions give 0.
+#[inline]
+fn leaf_position(slope: f64, intercept: f64, x: f64, n: usize) -> usize {
+    ((slope * x + intercept) as usize).min(n - 1)
+}
+
+/// `e` clamped into the `i32` range.
+fn saturate(e: i64) -> i32 {
+    e.clamp(i32::MIN.into(), i32::MAX.into()) as i32
 }
 
 /// The Recursive Model Index over a sorted `u64` array.
 #[derive(Debug, Clone)]
 pub struct Rmi {
     data: KeyStore,
-    top: TrainedTop,
-    /// Intermediate linear stages (usually empty; the paper's default is
-    /// two stages total).
-    mids: Vec<Vec<LinearModel>>,
-    leaves: Vec<Leaf>,
+    plan: LookupPlan,
+    /// Unscaled inner-stage coefficients, for [`Rmi::to_params`].
+    mids: Vec<Vec<(f64, f64)>>,
+    /// The cold side of every leaf: model, exact errors, σ and key
+    /// count, for statistics, [`Rmi::leaf_for`] and [`Rmi::to_params`].
+    leaves: Vec<LeafParams>,
     search: SearchStrategy,
     stats_cache: RmiStats,
 }
@@ -332,13 +444,11 @@ impl Rmi {
     /// clone to train over an array shared with other indexes at zero
     /// copy.
     pub fn build(data: impl Into<KeyStore>, config: &RmiConfig) -> Self {
-        TRAIN_EVENTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        TRAIN_EVENTS.with(|c| c.set(c.get() + 1));
         let data: KeyStore = data.into();
-        assert!(
-            !config.stages.is_empty(),
-            "need at least one stage after stage 0"
-        );
-        assert!(config.stages.iter().all(|&m| m > 0));
+        let stages = &config.stages;
+        assert!(!stages.is_empty(), "need at least one stage after stage 0");
+        assert!(stages.iter().all(|&m| m > 0));
         debug_assert!(
             data.windows(2).all(|w| w[0] < w[1]),
             "data must be sorted unique"
@@ -348,148 +458,147 @@ impl Rmi {
         let keys_f64: Vec<f64> = data.iter().map(|&k| k as f64).collect();
 
         // Stage 0 (Algorithm 1 line 6, i = 1): train on everything.
-        let top = config.top.fit(&keys_f64);
+        let mut plan = LookupPlan::new(config.top.fit(&keys_f64), stages[0], n);
 
         // Inner stages: route with the trained prefix, then fit linear
         // models per member (lines 4-10).
-        let mut mids: Vec<Vec<LinearModel>> = Vec::new();
-        let inner_stage_count = config.stages.len() - 1;
-        for s in 0..inner_stage_count {
-            let m = config.stages[s];
-            let mut buckets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); m];
+        let mut mids = Vec::new();
+        for s in 0..stages.len() - 1 {
+            let mut buckets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); stages[s]];
             for (i, &x) in keys_f64.iter().enumerate() {
-                let pred = predict_through(&top, &mids, x, n);
-                buckets[route(pred, m, n)].push((x, i as f64));
+                buckets[plan.leaf(x)].push((x, i as f64));
             }
-            let stage: Vec<LinearModel> = buckets
+            let stage: Vec<(f64, f64)> = buckets
                 .into_iter()
-                .map(|b| LinearModel::fit(b.into_iter()))
+                .map(|b| {
+                    let m = LinearModel::fit(b.into_iter());
+                    (m.slope(), m.intercept())
+                })
                 .collect();
+            plan.push_stage(&stage, stages[s + 1], n);
             mids.push(stage);
         }
 
         // Leaf stage: fit, then compute error envelopes (lines 11-12).
-        let leaf_count = *config.stages.last().expect("non-empty stages");
-        let mut buckets: Vec<Vec<(f64, usize)>> = vec![Vec::new(); leaf_count];
+        let mut buckets: Vec<Vec<(f64, usize)>> = vec![Vec::new(); stages[stages.len() - 1]];
         for (i, &x) in keys_f64.iter().enumerate() {
-            let pred = predict_through(&top, &mids, x, n);
-            buckets[route(pred, leaf_count, n)].push((x, i));
+            buckets[plan.leaf(x)].push((x, i));
         }
-
-        let mut leaves = Vec::with_capacity(leaf_count);
-        for bucket in &buckets {
-            if bucket.is_empty() {
-                leaves.push(Leaf::empty());
-                continue;
-            }
-            let model = LinearModel::fit(bucket.iter().map(|&(x, y)| (x, y as f64)));
-            let mut min_err = i64::MAX;
-            let mut max_err = i64::MIN;
-            let mut sum_sq = 0.0f64;
-            for &(x, y) in bucket {
-                let p = clamp_position(model.predict(x), n) as i64;
-                let e = y as i64 - p;
-                min_err = min_err.min(e);
-                max_err = max_err.max(e);
-                sum_sq += (e as f64) * (e as f64);
-            }
-            let std_err = (sum_sq / bucket.len() as f64).sqrt();
-
-            // Hybrid replacement (lines 13-14).
-            let abs_err = min_err.unsigned_abs().max(max_err.unsigned_abs());
-            let kind = match config.hybrid_threshold {
-                Some(t) if abs_err > t as u64 => {
-                    let first = bucket.iter().map(|&(_, y)| y).min().expect("non-empty");
-                    let last = bucket.iter().map(|&(_, y)| y).max().expect("non-empty");
-                    // Zero-copy: the leaf B-Tree indexes a slice *view*
-                    // of the shared key array, not a copy of it.
-                    let tree =
-                        BTreeIndex::new(data.slice(first..last + 1), config.hybrid_page_size);
-                    LeafKind::BTree {
-                        offset: first,
-                        tree: Box::new(tree),
-                    }
-                }
-                _ => LeafKind::Linear(model),
-            };
-            leaves.push(Leaf {
-                kind,
-                min_err,
-                max_err,
-                std_err,
-                n_keys: bucket.len(),
-            });
-        }
-
         // Empty leaves predict the boundary position of the nearest
         // preceding non-empty leaf, so predictions stay roughly monotone
         // across leaves and mis-routed queries widen minimally.
         let mut boundary = 0usize;
-        for (leaf, bucket) in leaves.iter_mut().zip(&buckets) {
-            if bucket.is_empty() {
-                leaf.kind = LeafKind::Linear(LinearModel::constant(boundary as f64));
-            } else {
-                boundary = bucket.iter().map(|&(_, y)| y).max().expect("non-empty") + 1;
-            }
-        }
+        let leaves = buckets
+            .iter()
+            .map(|bucket| {
+                // Positions were pushed in ascending order.
+                let (Some(&(_, first)), Some(&(_, last))) = (bucket.first(), bucket.last()) else {
+                    return LeafParams {
+                        model: LeafModelParams::Linear {
+                            slope: 0.0,
+                            intercept: boundary as f64,
+                        },
+                        min_err: 0,
+                        max_err: 0,
+                        std_err: 0.0,
+                        n_keys: 0,
+                    };
+                };
+                boundary = last + 1;
+                let m = LinearModel::fit(bucket.iter().map(|&(x, y)| (x, y as f64)));
+                let (slope, intercept) = (m.slope(), m.intercept());
+                let mut min_err = i64::MAX;
+                let mut max_err = i64::MIN;
+                let mut sum_sq = 0.0f64;
+                for &(x, y) in bucket {
+                    let e = y as i64 - leaf_position(slope, intercept, x, n) as i64;
+                    min_err = min_err.min(e);
+                    max_err = max_err.max(e);
+                    sum_sq += (e as f64) * (e as f64);
+                }
+                // Hybrid replacement (lines 13-14). The leaf B-Tree
+                // indexes a zero-copy slice view of the shared key array.
+                let abs_err = min_err.unsigned_abs().max(max_err.unsigned_abs());
+                let model = match config.hybrid_threshold {
+                    Some(t) if abs_err > t as u64 => LeafModelParams::BTree {
+                        offset: first as u64,
+                        len: (last + 1 - first) as u64,
+                        page_size: config.hybrid_page_size as u64,
+                    },
+                    _ => LeafModelParams::Linear { slope, intercept },
+                };
+                LeafParams {
+                    model,
+                    min_err,
+                    max_err,
+                    std_err: (sum_sq / bucket.len() as f64).sqrt(),
+                    n_keys: bucket.len() as u64,
+                }
+            })
+            .collect();
+        Self::assemble(data, plan, mids, leaves, config.search)
+            .expect("hybrid_page_size must be at least 2")
+    }
 
-        let mut rmi = Self {
+    /// Complete `plan` with the slot table of `leaves` (building hybrid
+    /// B-Tree leaves over zero-copy slices of `data`) and wrap it up.
+    /// `None` when a B-Tree leaf is out of bounds or has `page_size < 2`.
+    fn assemble(
+        data: KeyStore,
+        mut plan: LookupPlan,
+        mids: Vec<Vec<(f64, f64)>>,
+        leaves: Vec<LeafParams>,
+        search: SearchStrategy,
+    ) -> Option<Self> {
+        let n = data.len();
+        let mut slots = Vec::with_capacity(leaves.len());
+        for leaf in &leaves {
+            let (slope, intercept, tree) = match leaf.model {
+                LeafModelParams::Linear { slope, intercept } => (slope, intercept, LINEAR_LEAF),
+                LeafModelParams::BTree {
+                    offset,
+                    len,
+                    page_size,
+                } => {
+                    let offset = usize::try_from(offset).ok()?;
+                    let len = usize::try_from(len).ok()?;
+                    let page_size = usize::try_from(page_size).ok()?;
+                    if page_size < 2 || offset.checked_add(len)? > n {
+                        return None;
+                    }
+                    let tree = u32::try_from(plan.trees.len())
+                        .ok()
+                        .filter(|&t| t != LINEAR_LEAF)?;
+                    let btree = BTreeIndex::new(data.slice(offset..offset + len), page_size);
+                    plan.trees.push((offset, btree));
+                    (0.0, 0.0, tree)
+                }
+            };
+            slots.push(Slot {
+                slope,
+                intercept,
+                min_err: saturate(leaf.min_err),
+                max_err: saturate(leaf.max_err),
+                sigma: (leaf.std_err.ceil() as u32).max(1),
+                tree,
+            });
+        }
+        plan.slots = slots.into();
+        let stats_cache = compute_stats(n, &plan, &leaves);
+        Some(Self {
             data,
-            top,
+            plan,
             mids,
             leaves,
-            search: config.search,
-            stats_cache: RmiStats {
-                keys: 0,
-                leaves: leaf_count,
-                btree_leaves: 0,
-                mean_abs_err: 0.0,
-                max_abs_err: 0,
-                size_bytes: 0,
-                op_count: 0,
-            },
-        };
-        rmi.stats_cache = rmi.compute_stats();
-        rmi
+            search,
+            stats_cache,
+        })
     }
 
-    /// Route a key through the cascade to its leaf index.
-    #[inline]
-    fn leaf_index(&self, x: f64) -> usize {
-        let pred = predict_through(&self.top, &self.mids, x, self.data.len());
-        route(pred, self.leaves.len(), self.data.len())
-    }
-
-    /// The full per-query model phase: cascade + leaf prediction +
-    /// error-window arithmetic, producing the last-mile search plan
-    /// `(pos, lo, hi, sigma)`. Shared by the scalar path, `predict`, and
-    /// the phase-split batched path. Requires a non-empty key array.
-    #[inline]
-    fn plan(&self, key: u64) -> (usize, usize, usize, usize) {
-        let n = self.data.len();
-        let x = key as f64;
-        let leaf = &self.leaves[self.leaf_index(x)];
-        match &leaf.kind {
-            LeafKind::Linear(m) => {
-                let pos = clamp_position(m.predict(x), n);
-                let lo = pos.saturating_add_signed(leaf.min_err as isize).min(n);
-                let hi = (pos.saturating_add_signed(leaf.max_err as isize) + 1).min(n);
-                let sigma = (leaf.std_err.ceil() as usize).max(1);
-                (pos, lo, hi, sigma)
-            }
-            LeafKind::BTree { offset, tree } => {
-                // The leaf B-Tree answers exactly for keys inside its
-                // range; boundary results are certified globally by the
-                // widening search (handles keys mis-routed to this leaf).
-                let pos = (offset + tree.lower_bound(key)).min(n);
-                (pos, pos, pos, 1)
-            }
-        }
-    }
-
-    /// The leaf a key routes to (for inspection/tests).
-    pub fn leaf_for(&self, key: u64) -> &Leaf {
-        &self.leaves[self.leaf_index(key as f64)]
+    /// The parameters of the leaf a key routes to (for inspection and
+    /// tests).
+    pub fn leaf_for(&self, key: u64) -> &LeafParams {
+        &self.leaves[self.plan.leaf(key as f64)]
     }
 
     /// Summary statistics.
@@ -508,173 +617,83 @@ impl Rmi {
         self.search = s;
     }
 
-    fn compute_stats(&self) -> RmiStats {
-        let n = self.data.len();
-        let mut sum_abs = 0.0f64;
-        let mut max_abs = 0u64;
-        let mut btree_leaves = 0usize;
-        for leaf in &self.leaves {
-            if matches!(leaf.kind, LeafKind::BTree { .. }) {
-                btree_leaves += 1;
-            }
-            let worst = leaf.min_err.unsigned_abs().max(leaf.max_err.unsigned_abs());
-            max_abs = max_abs.max(worst);
-            sum_abs += leaf.std_err * leaf.n_keys as f64;
-        }
-        let size_bytes = self.top.size_bytes()
-            + self.mids.iter().map(|s| s.len() * (4 + 4)).sum::<usize>()
-            + self
-                .leaves
-                .iter()
-                .map(|l| match &l.kind {
-                    LeafKind::Linear(_) => LEAF_DEPLOY_BYTES,
-                    LeafKind::BTree { tree, .. } => LEAF_DEPLOY_BYTES + tree.size_bytes(),
-                })
-                .sum::<usize>();
-        RmiStats {
-            keys: n,
-            leaves: self.leaves.len(),
-            btree_leaves,
-            mean_abs_err: if n == 0 { 0.0 } else { sum_abs / n as f64 },
-            max_abs_err: max_abs,
-            size_bytes,
-            op_count: self.top.op_count() + 2 + self.mids.len() * 4,
-        }
-    }
-
     /// Extract the serializable parameters of this trained index (for
     /// the persistence layer). Returns `None` when the stage-0 model is
     /// not linear — format v1 does not encode multivariate/MLP tops.
     pub fn to_params(&self) -> Option<RmiParams> {
-        let top = match &self.top {
-            TrainedTop::Linear(m) => (m.slope(), m.intercept()),
-            _ => return None,
+        let TrainedTop::Linear(top) = &self.plan.top else {
+            return None;
         };
-        let mids = self
-            .mids
-            .iter()
-            .map(|stage| stage.iter().map(|m| (m.slope(), m.intercept())).collect())
-            .collect();
-        let leaves = self
-            .leaves
-            .iter()
-            .map(|leaf| LeafParams {
-                model: match &leaf.kind {
-                    LeafKind::Linear(m) => LeafModelParams::Linear {
-                        slope: m.slope(),
-                        intercept: m.intercept(),
-                    },
-                    LeafKind::BTree { offset, tree } => LeafModelParams::BTree {
-                        offset: *offset as u64,
-                        len: tree.key_store().len() as u64,
-                        page_size: tree.page_size() as u64,
-                    },
-                },
-                min_err: leaf.min_err,
-                max_err: leaf.max_err,
-                std_err: leaf.std_err,
-                n_keys: leaf.n_keys as u64,
-            })
-            .collect();
         Some(RmiParams {
-            top,
-            mids,
-            leaves,
+            top: (top.slope(), top.intercept()),
+            mids: self.mids.clone(),
+            leaves: self.leaves.clone(),
             search: self.search,
         })
     }
 
     /// Reassemble a trained index from its serialized parameters and
     /// the key array it was trained over — the warm-restart path. No
-    /// model is fitted (the process [`train_count`] does not move);
+    /// model is fitted (the caller's [`train_count`] does not move);
     /// hybrid B-Tree leaves are rebuilt *structurally* over zero-copy
     /// slices of `data`, exactly as training left them.
     ///
     /// Returns `None` when the parameters cannot describe a valid index
-    /// over `data`: no leaves, a B-Tree leaf range out of bounds, or a
-    /// `page_size < 2`.
+    /// over `data`: no leaves, an empty inner stage, a B-Tree leaf range
+    /// out of bounds, or a `page_size < 2`.
     pub fn from_params(data: impl Into<KeyStore>, params: &RmiParams) -> Option<Self> {
         let data: KeyStore = data.into();
         let n = data.len();
-        if params.leaves.is_empty() {
+        if params.leaves.is_empty() || params.mids.iter().any(Vec::is_empty) {
             return None;
         }
-        let mut leaves = Vec::with_capacity(params.leaves.len());
-        for lp in &params.leaves {
-            let kind = match lp.model {
-                LeafModelParams::Linear { slope, intercept } => {
-                    LeafKind::Linear(LinearModel::new(slope, intercept))
-                }
-                LeafModelParams::BTree {
-                    offset,
-                    len,
-                    page_size,
-                } => {
-                    let offset = usize::try_from(offset).ok()?;
-                    let len = usize::try_from(len).ok()?;
-                    let page_size = usize::try_from(page_size).ok()?;
-                    if page_size < 2 || offset.checked_add(len)? > n {
-                        return None;
-                    }
-                    let tree = BTreeIndex::new(data.slice(offset..offset + len), page_size);
-                    LeafKind::BTree {
-                        offset,
-                        tree: Box::new(tree),
-                    }
-                }
-            };
-            leaves.push(Leaf {
-                kind,
-                min_err: lp.min_err,
-                max_err: lp.max_err,
-                std_err: lp.std_err,
-                n_keys: usize::try_from(lp.n_keys).ok()?,
-            });
+        // Model count of stage `s` after stage 0 (the leaves last).
+        let size = |s: usize| params.mids.get(s).map_or(params.leaves.len(), Vec::len);
+        let top = TrainedTop::Linear(LinearModel::new(params.top.0, params.top.1));
+        let mut plan = LookupPlan::new(top, size(0), n);
+        for (s, stage) in params.mids.iter().enumerate() {
+            plan.push_stage(stage, size(s + 1), n);
         }
-        let mut rmi = Self {
+        Self::assemble(
             data,
-            top: TrainedTop::Linear(LinearModel::new(params.top.0, params.top.1)),
-            mids: params
-                .mids
-                .iter()
-                .map(|stage| stage.iter().map(|&(s, i)| LinearModel::new(s, i)).collect())
-                .collect(),
-            leaves,
-            search: params.search,
-            stats_cache: RmiStats {
-                keys: 0,
-                leaves: 0,
-                btree_leaves: 0,
-                mean_abs_err: 0.0,
-                max_abs_err: 0,
-                size_bytes: 0,
-                op_count: 0,
-            },
-        };
-        rmi.stats_cache = rmi.compute_stats();
-        Some(rmi)
+            plan,
+            params.mids.clone(),
+            params.leaves.clone(),
+            params.search,
+        )
     }
 }
 
-/// Run the trained model cascade down to (but excluding) the leaf stage.
-#[inline]
-fn predict_through(top: &TrainedTop, mids: &[Vec<LinearModel>], x: f64, n: usize) -> f64 {
-    let mut pred = top.predict(x);
-    for stage in mids {
-        let idx = route(pred, stage.len(), n);
-        pred = stage[idx].predict(x);
+/// Summary statistics of an index over `n` keys.
+fn compute_stats(n: usize, plan: &LookupPlan, leaves: &[LeafParams]) -> RmiStats {
+    let mut sum_abs = 0.0f64;
+    let mut max_abs = 0u64;
+    for leaf in leaves {
+        let worst = leaf.min_err.unsigned_abs().max(leaf.max_err.unsigned_abs());
+        max_abs = max_abs.max(worst);
+        sum_abs += leaf.std_err * leaf.n_keys as f64;
     }
-    pred
-}
-
-/// Algorithm 1 line 9: `⌊M · f(x) / N⌋`, clamped into `[0, M)`.
-#[inline]
-fn route(pred: f64, m: usize, n: usize) -> usize {
-    if n == 0 || m == 0 {
-        return 0;
+    let size_bytes = plan.top.size_bytes()
+        + plan
+            .mids
+            .iter()
+            .map(|s| s.hops.len() * (4 + 4))
+            .sum::<usize>()
+        + leaves.len() * LEAF_DEPLOY_BYTES
+        + plan
+            .trees
+            .iter()
+            .map(|(_, t)| t.size_bytes())
+            .sum::<usize>();
+    RmiStats {
+        keys: n,
+        leaves: leaves.len(),
+        btree_leaves: plan.trees.len(),
+        mean_abs_err: if n == 0 { 0.0 } else { sum_abs / n as f64 },
+        max_abs_err: max_abs,
+        size_bytes,
+        op_count: plan.top.op_count() + 2 + plan.mids.len() * 4,
     }
-    let scaled = pred * (m as f64) / (n as f64);
-    clamp_position(scaled, m)
 }
 
 impl RangeIndex for Rmi {
@@ -684,24 +703,26 @@ impl RangeIndex for Rmi {
 
     #[inline]
     fn predict(&self, key: u64) -> Prediction {
-        if self.data.is_empty() {
+        let n = self.data.len();
+        if n == 0 {
             return Prediction {
                 pos: 0,
                 lo: 0,
                 hi: 0,
             };
         }
-        let (pos, lo, hi, _) = self.plan(key);
+        let (pos, lo, hi, _) = self.plan.window(key, n);
         Prediction { pos, lo, hi }
     }
 
     #[inline]
     fn lower_bound(&self, key: u64) -> usize {
-        if self.data.is_empty() {
+        let data: &[u64] = &self.data;
+        if data.is_empty() {
             return 0;
         }
-        let (pos, lo, hi, sigma) = self.plan(key);
-        search_with_widening(&self.data, key, self.search, pos, sigma, lo, hi)
+        let (pos, lo, hi, sigma) = self.plan.window(key, data.len());
+        search_with_widening(data, key, self.search, pos, sigma, lo, hi)
     }
 
     /// Phase-split batched lookup: run the model cascade for *every*
@@ -716,16 +737,19 @@ impl RangeIndex for Rmi {
             out.len(),
             "lower_bound_batch: queries and out must have equal length"
         );
-        if self.data.is_empty() {
+        let data: &[u64] = &self.data;
+        if data.is_empty() {
             out.fill(0);
             return;
         }
         // Phase 1: model execution for all queries.
-        let plans: Vec<(usize, usize, usize, usize)> =
-            queries.iter().map(|&q| self.plan(q)).collect();
+        let plans: Vec<(usize, usize, usize, usize)> = queries
+            .iter()
+            .map(|&q| self.plan.window(q, data.len()))
+            .collect();
         // Phase 2: all last-mile searches.
         for ((o, &q), &(pos, lo, hi, sigma)) in out.iter_mut().zip(queries).zip(&plans) {
-            *o = search_with_widening(&self.data, q, self.search, pos, sigma, lo, hi);
+            *o = search_with_widening(data, q, self.search, pos, sigma, lo, hi);
         }
     }
 
@@ -741,7 +765,7 @@ impl RangeIndex for Rmi {
         };
         format!(
             "rmi({},leaves={}{hybrid},{})",
-            match &self.top {
+            match &self.plan.top {
                 TrainedTop::Linear(_) => "linear".to_string(),
                 TrainedTop::Multivariate(_) => "multivariate".to_string(),
                 TrainedTop::Mlp(m) => format!("mlp({}h)", m.hidden_layers()),
@@ -1004,14 +1028,10 @@ mod tests {
             &RmiConfig::two_stage(TopModel::Linear, 8).with_hybrid(10),
         );
         assert!(rmi.key_store().ptr_eq(&store));
-        let mut hybrid_seen = 0usize;
-        for leaf in &rmi.leaves {
-            if let LeafKind::BTree { tree, .. } = &leaf.kind {
-                hybrid_seen += 1;
-                assert!(tree.key_store().ptr_eq(&store), "leaf copied the keys");
-            }
+        assert!(!rmi.plan.trees.is_empty());
+        for (_, tree) in &rmi.plan.trees {
+            assert!(tree.key_store().ptr_eq(&store), "leaf copied the keys");
         }
-        assert!(hybrid_seen > 0);
     }
 
     #[test]
@@ -1075,5 +1095,122 @@ mod tests {
             page_size: 1, // BTreeIndex requires >= 2
         };
         assert!(Rmi::from_params(data, &params).is_none());
+    }
+
+    #[test]
+    fn training_on_another_thread_leaves_the_callers_count_flat() {
+        let before = train_count();
+        let trained = std::thread::spawn(|| {
+            let start = train_count();
+            Rmi::build(linear_data(1000), &RmiConfig::default());
+            train_count() - start
+        })
+        .join()
+        .expect("training thread");
+        assert_eq!(trained, 1, "the training thread counts its own build");
+        assert_eq!(
+            train_count(),
+            before,
+            "another thread's training moved the count"
+        );
+        Rmi::build(linear_data(1000), &RmiConfig::default());
+        assert_eq!(train_count(), before + 1);
+    }
+
+    /// Every stored key lies inside the window `predict` gives it, so no
+    /// stored key's lookup widens: training routed it through the same
+    /// plan that lookups read.
+    fn assert_stored_keys_inside_windows(keys: &[u64], cfg: &RmiConfig, what: &str) {
+        let rmi = Rmi::build(keys.to_vec(), cfg);
+        for (i, &k) in keys.iter().enumerate() {
+            let p = rmi.predict(k);
+            assert!(
+                p.lo <= i && i < p.hi,
+                "{what}: key {k} at {i} outside {}..{}",
+                p.lo,
+                p.hi
+            );
+        }
+    }
+
+    #[test]
+    fn stored_keys_never_widen_on_lognormal_and_gauntlet_data() {
+        let configs = [
+            RmiConfig::two_stage(TopModel::Linear, 256),
+            RmiConfig {
+                stages: vec![16, 256],
+                ..Default::default()
+            },
+        ];
+        let lognormal = li_data::Dataset::Lognormal.generate(50_000, 3);
+        for cfg in &configs {
+            assert_stored_keys_inside_windows(lognormal.keys(), cfg, "lognormal");
+            for family in li_data::Gauntlet::ALL {
+                let mut keys = family.generate(20_000, 5);
+                keys.dedup(); // an RMI indexes unique keys
+                assert_stored_keys_inside_windows(&keys, cfg, family.name());
+            }
+        }
+    }
+
+    #[test]
+    fn params_round_trip_keeps_every_prediction() {
+        let data = li_data::Dataset::Lognormal
+            .generate(20_000, 9)
+            .keys()
+            .to_vec();
+        let configs = [
+            RmiConfig::two_stage(TopModel::Linear, 128),
+            RmiConfig {
+                stages: vec![8, 128],
+                ..Default::default()
+            },
+            RmiConfig::two_stage(TopModel::Linear, 16).with_hybrid(4),
+        ];
+        let mut probes: Vec<u64> = vec![0, 1, u64::MAX];
+        probes.extend(data.iter().flat_map(|&k| [k - 1, k, k + 1]));
+        for cfg in &configs {
+            let rmi = Rmi::build(data.clone(), cfg);
+            let back = Rmi::from_params(data.clone(), &rmi.to_params().unwrap()).unwrap();
+            for &q in &probes {
+                assert_eq!(back.predict(q), rmi.predict(q), "{} q={q}", rmi.name());
+            }
+        }
+    }
+
+    #[test]
+    fn errors_beyond_i32_saturate_and_widen_to_exact_answers() {
+        let data = quadratic_data(3000);
+        let rmi = Rmi::build(data.clone(), &RmiConfig::two_stage(TopModel::Linear, 32));
+        let mut params = rmi.to_params().unwrap();
+        const BIG: i64 = 1 << 40;
+        // Wider than the array, and entirely above or below every
+        // prediction: the saturated windows are empty at an array end.
+        let envelopes = [
+            (-BIG, BIG),
+            (BIG, 2 * BIG),
+            (-2 * BIG, -BIG),
+            (i64::MIN, i64::MAX),
+        ];
+        for (leaf, &(lo, hi)) in params.leaves.iter_mut().zip(envelopes.iter().cycle()) {
+            leaf.min_err = lo;
+            leaf.max_err = hi;
+        }
+        let mut probes: Vec<u64> = vec![0, u64::MAX];
+        probes.extend(data.iter().flat_map(|&k| [k - 1, k, k + 1]));
+        for s in SearchStrategy::ALL {
+            params.search = s;
+            let odd = Rmi::from_params(data.clone(), &params).unwrap();
+            assert_eq!(
+                odd.to_params().as_ref(),
+                Some(&params),
+                "cold errors stay exact"
+            );
+            for &q in &probes {
+                let p = odd.predict(q);
+                assert!(p.lo <= p.hi && p.hi <= data.len(), "{s:?} q={q} {p:?}");
+                assert_eq!(odd.lower_bound(q), oracle(&data, q), "{s:?} q={q}");
+            }
+        }
     }
 }

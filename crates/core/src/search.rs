@@ -180,6 +180,7 @@ fn biased_quaternary(
 /// that cannot be certified against the neighboring element, the window
 /// is doubled and the search retried. Converges in O(log n) widenings;
 /// with a monotonic model it never widens for stored keys.
+#[inline]
 pub fn search_with_widening(
     data: &[u64],
     key: u64,

@@ -9,13 +9,12 @@
 //! * [`ShardedIndex`] — the tentpole: partitions one [`KeyStore`] into
 //!   N `KeyStore::slice` views (no key copied), builds a pluggable
 //!   [`ShardBuilder`] backend per shard, and routes every lookup
-//!   through a learned shard router with an O(1)-verified answer and a
-//!   binary-search fallback. It implements [`RangeIndex`] itself, so
+//!   through a binary search over the shard boundary keys. It
+//!   implements [`RangeIndex`] itself, so
 //!   every existing harness and property suite works against it
 //!   unchanged.
-//! * [`ShardRouter`] — routing as a recursive application of the
-//!   paper's thesis: a linear model over the shard boundary keys with a
-//!   certified last-mile window.
+//! * [`ShardRouter`] — the read and ownership routing rules over the
+//!   shard boundary keys.
 //! * [`ShardedIndex::lower_bound_batch_parallel`] — the concurrent read
 //!   path: scoped threads fan contiguous sub-batches out, each running
 //!   the per-shard bucketed batch plan.

@@ -722,7 +722,7 @@ impl ShardedIndex {
 
     /// Load a snapshot saved by [`ShardedIndex::save`]: map the key
     /// payload (zero-copy where the platform allows), rebuild each
-    /// shard's RMI from its saved coefficients, refit the router over
+    /// shard's RMI from its saved coefficients, rebuild the router over
     /// the boundary keys. **No retraining** — [`li_core::train_count`]
     /// does not move across a load.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {

@@ -2,7 +2,7 @@
 //!
 //! PR 4's rebalancer ran **inline**: the insert that pushed a shard
 //! over its threshold executed the split — export, retrain, router
-//! refit — under the topology *write* lock, stalling every concurrent
+//! rebuild — under the topology *write* lock, stalling every concurrent
 //! insert and snapshot for the duration of the rebuild. Both
 //! *Benchmarking Learned Indexes* (Marcus et al.) and Google's
 //! disk-based learned-index deployment report exactly this shape of

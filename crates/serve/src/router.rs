@@ -1,53 +1,28 @@
-//! The shard router: learned fast path, binary fallback, O(1) global
-//! verification.
+//! The shard router: a binary search over the shard boundary keys.
 //!
 //! Routing is itself a tiny lower-bound problem — "which shard's first
-//! key is the last one `< q`?" — so the paper's thesis applies to it
-//! recursively: fit a linear model over the boundary keys and use it as
-//! a position hint, exactly like an RMI leaf, with `partition_point`
-//! over a narrow verified window as the last mile. Because the correct
-//! answer has an O(1) *global* certificate (`boundaries[r-1] < q <=
-//! boundaries[r]`), the learned path can never return a wrong shard: a
-//! failed certificate falls back to full binary search.
+//! key is the last one `< q`?" — but over a handful of boundary keys
+//! that sit in one or two cache lines. A `partition_point` over them
+//! costs a few predictable compares, less than evaluating and checking
+//! a model would, so the router is the plain reference rule of
+//! `li_index::partition`, exact for every key including those above
+//! 2^53 and duplicate boundaries.
 
 use li_index::partition::{route_binary, route_owner_binary};
-
-/// Linear routing model over the boundary keys, with the validated
-/// window half-width that makes its answers certifiable.
-#[derive(Debug, Clone, Copy)]
-struct LinearRoute {
-    slope: f64,
-    intercept: f64,
-    /// Half-width of the search window around the prediction; fitted so
-    /// the window provably brackets the true route at every boundary.
-    err: usize,
-}
-
-impl LinearRoute {
-    #[inline]
-    fn predict(&self, key: u64) -> f64 {
-        self.slope * key as f64 + self.intercept
-    }
-}
 
 /// Routes a query key to the shard whose position range contains its
 /// global lower bound.
 ///
 /// Built from the shard boundary keys (first key of every shard except
-/// shard 0, see `li_index::partition::boundaries`). Uses a learned
-/// linear model when the boundaries support one (monotone, finite fit),
-/// binary search otherwise — and *always* verifies the learned answer
-/// with the O(1) certificate before trusting it.
-///
-/// Two routing rules share the machinery:
+/// shard 0, see `li_index::partition::boundaries`). Two routing rules:
 ///
 /// * [`ShardRouter::route`] — the *read* rule: the shard whose position
-///   range contains `lower_bound(key)` (certificate
-///   `boundaries[r-1] < key <= boundaries[r]`).
+///   range contains `lower_bound(key)` (`boundaries[r-1] < key <=
+///   boundaries[r]`).
 /// * [`ShardRouter::route_owner`] — the *ownership* rule of the
 ///   writable path: the unique shard whose half-open range
-///   `[boundaries[s-1], boundaries[s])` contains the key (certificate
-///   `boundaries[r-1] <= key < boundaries[r]`), so every key has
+///   `[boundaries[s-1], boundaries[s])` contains the key
+///   (`boundaries[r-1] <= key < boundaries[r]`), so every key has
 ///   exactly one home to insert into.
 ///
 /// # Examples
@@ -69,104 +44,25 @@ impl LinearRoute {
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
     boundaries: Vec<u64>,
-    model: Option<LinearRoute>,
 }
 
 impl ShardRouter {
-    /// Fit a router over the boundary keys (must be sorted; one entry
-    /// per shard beyond the first). Refitting after a topology change
-    /// (shard split/merge) is the same call over the updated boundary
-    /// vector — the model is cheap enough to rebuild from scratch.
+    /// A router over the boundary keys (must be sorted; one entry per
+    /// shard beyond the first). After a topology change (shard
+    /// split/merge), build a new one over the updated boundary vector.
     pub fn fit(boundaries: Vec<u64>) -> Self {
         debug_assert!(
             boundaries.windows(2).all(|w| w[0] <= w[1]),
             "ShardRouter::fit: boundary keys must be sorted ascending"
         );
-        let model = Self::fit_linear(&boundaries);
-        Self { boundaries, model }
+        Self { boundaries }
     }
 
-    /// The boundary keys this router was fitted over (one per shard
+    /// The boundary keys this router was built over (one per shard
     /// beyond the first — for a writable topology, the ownership-range
     /// lower bounds of shards `1..N`).
     pub fn boundaries(&self) -> &[u64] {
         &self.boundaries
-    }
-
-    /// Least-squares line through `(boundary_i, i + 0.5)` — the center
-    /// of the route-value jump at each boundary — plus the max observed
-    /// rounding error. Returns `None` when the boundaries cannot
-    /// support a useful monotone model (fewer than 2 distinct keys, a
-    /// degenerate/non-finite fit, or a fitted window so wide the
-    /// learned path would search the whole boundary array anyway), in
-    /// which case routing is pure binary search.
-    ///
-    /// ## Precision near `u64::MAX`
-    /// The fit runs in `f64`, where distinct keys above 2^53 can
-    /// collapse to one value (`key as f64` keeps 53 bits of mantissa).
-    /// Two defenses keep that lossiness harmless rather than silently
-    /// wrong:
-    ///
-    /// * the normal equations are solved in **mean-centered** form
-    ///   (`slope = Σ dx·dy / Σ dx²` with `dx = x − x̄`), so huge key
-    ///   magnitudes cannot cancel catastrophically the way the raw
-    ///   `n·Σx² − (Σx)²` determinant does — the model's `err` window
-    ///   reflects real prediction error, not accumulation noise;
-    /// * correctness never rests on the model at all: the fitted window
-    ///   only *positions* a `partition_point` search whose answer must
-    ///   then pass the exact-integer certificate in
-    ///   [`ShardRouter::route`]/[`ShardRouter::route_owner`]. Collapsed
-    ///   keys can at worst miss the window and fail the certificate,
-    ///   which falls back to binary search — never a wrong route.
-    fn fit_linear(boundaries: &[u64]) -> Option<LinearRoute> {
-        let n = boundaries.len();
-        if n < 2 || boundaries.first() == boundaries.last() {
-            return None;
-        }
-        let nf = n as f64;
-        let mean_x = boundaries.iter().map(|&b| b as f64).sum::<f64>() / nf;
-        let mean_y = nf / 2.0; // mean of i + 0.5 over i in 0..n
-        let (mut var, mut cov) = (0.0f64, 0.0f64);
-        for (i, &b) in boundaries.iter().enumerate() {
-            let dx = b as f64 - mean_x;
-            let dy = (i as f64 + 0.5) - mean_y;
-            var += dx * dx;
-            cov += dx * dy;
-        }
-        if !var.is_finite() || var < f64::EPSILON {
-            return None;
-        }
-        let slope = cov / var;
-        let intercept = mean_y - slope * mean_x;
-        if !slope.is_finite() || !intercept.is_finite() || slope < 0.0 {
-            return None;
-        }
-        let mut model = LinearRoute {
-            slope,
-            intercept,
-            err: 0,
-        };
-        // Window half-width: the worst rounded miss at any boundary key
-        // against both route values that meet there (just-below keys
-        // route to i, the boundary key itself to at most i+1), plus one
-        // for the rounding of interior keys.
-        let mut err = 0usize;
-        for (i, &b) in boundaries.iter().enumerate() {
-            let p = model.predict(b);
-            if !p.is_finite() {
-                return None;
-            }
-            let rounded = p.round().clamp(0.0, n as f64) as usize;
-            err = err.max(rounded.abs_diff(i)).max(rounded.abs_diff(i + 1));
-        }
-        model.err = err + 1;
-        // A window as wide as the array certifies nothing the binary
-        // fallback wouldn't find with the same comparisons — the
-        // "learned" path would be pure overhead, so don't keep it.
-        if model.err >= n {
-            return None;
-        }
-        Some(model)
     }
 
     /// Number of shards this router serves.
@@ -174,42 +70,10 @@ impl ShardRouter {
         self.boundaries.len() + 1
     }
 
-    /// Whether the learned fast path is active (false on degenerate
-    /// boundary sets, where routing is pure binary search).
-    pub fn is_learned(&self) -> bool {
-        self.model.is_some()
-    }
-
-    /// The fitted window half-width of the active learned model, or
-    /// `None` on the binary fallback. Diagnostic: `fit` guarantees any
-    /// active model's window is strictly narrower than the boundary
-    /// array (otherwise the model is rejected as useless).
-    pub fn window_err(&self) -> Option<usize> {
-        self.model.as_ref().map(|m| m.err)
-    }
-
     /// The shard whose position range contains `lower_bound(key)` of
-    /// the full array. Learned prediction + verified window when a
-    /// model is fitted; exact binary search otherwise or whenever the
-    /// certificate fails.
+    /// the full array.
     #[inline]
     pub fn route(&self, key: u64) -> usize {
-        let n = self.boundaries.len();
-        if let Some(m) = &self.model {
-            let p = m.predict(key);
-            if p.is_finite() {
-                let center = p.round().clamp(0.0, n as f64) as usize;
-                let lo = center.saturating_sub(m.err).min(n);
-                let hi = (center.saturating_add(m.err)).min(n);
-                let r = lo + self.boundaries[lo..hi].partition_point(|&b| b < key);
-                // O(1) global certificate: r is THE route iff every
-                // boundary before it is < key and the one at it is >= key.
-                if (r == 0 || self.boundaries[r - 1] < key) && (r == n || self.boundaries[r] >= key)
-                {
-                    return r;
-                }
-            }
-        }
         route_binary(&self.boundaries, key)
     }
 
@@ -217,30 +81,13 @@ impl ShardRouter {
     /// (`[boundaries[s-1], boundaries[s])` — see
     /// `li_index::partition::route_owner_binary`): the routing rule of
     /// the writable sharded path, where every key must have exactly one
-    /// home shard. Same learned fast path as [`ShardRouter::route`],
-    /// with the certificate shifted to the ownership convention
-    /// (`boundaries[r-1] <= key < boundaries[r]`).
+    /// home shard.
     #[inline]
     pub fn route_owner(&self, key: u64) -> usize {
-        let n = self.boundaries.len();
-        if let Some(m) = &self.model {
-            let p = m.predict(key);
-            if p.is_finite() {
-                let center = p.round().clamp(0.0, n as f64) as usize;
-                let lo = center.saturating_sub(m.err).min(n);
-                let hi = (center.saturating_add(m.err)).min(n);
-                let r = lo + self.boundaries[lo..hi].partition_point(|&b| b <= key);
-                // O(1) ownership certificate.
-                if (r == 0 || self.boundaries[r - 1] <= key) && (r == n || self.boundaries[r] > key)
-                {
-                    return r;
-                }
-            }
-        }
         route_owner_binary(&self.boundaries, key)
     }
 
-    /// Router overhead in bytes (boundary keys + model).
+    /// Router overhead in bytes (boundary keys + the router itself).
     pub fn size_bytes(&self) -> usize {
         self.boundaries.len() * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()
     }
@@ -258,50 +105,44 @@ mod tests {
         qs
     }
 
-    #[test]
-    fn learned_route_always_matches_binary() {
-        let boundary_sets: Vec<Vec<u64>> = vec![
+    fn boundary_sets() -> Vec<Vec<u64>> {
+        vec![
             vec![],
             vec![100],
             (1..50u64).map(|i| i * 1000).collect(),
-            (1..50u64).map(|i| i * i * 7919).collect(), // quadratic: model misses
+            (1..50u64).map(|i| i * i * 7919).collect(), // quadratic spacing
             vec![5, 5, 5, 5],                           // duplicate boundaries
             vec![0, 1, u64::MAX - 1, u64::MAX],         // extreme spread
             (0..100u64).map(|i| i / 10).collect(),      // long runs
-        ];
-        for bounds in boundary_sets {
+            // A dense cluster and one far outlier.
+            (0..20u64).chain([u64::MAX]).collect(),
+        ]
+    }
+
+    #[test]
+    fn read_route_matches_route_binary() {
+        for bounds in boundary_sets() {
             let router = ShardRouter::fit(bounds.clone());
             assert_eq!(router.shards(), bounds.len() + 1);
             for q in probe_set(&bounds) {
                 assert_eq!(
                     router.route(q),
                     route_binary(&bounds, q),
-                    "bounds={bounds:?} q={q} learned={}",
-                    router.is_learned()
+                    "bounds={bounds:?} q={q}"
                 );
             }
         }
     }
 
     #[test]
-    fn learned_owner_route_always_matches_binary() {
-        let boundary_sets: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![100],
-            (1..50u64).map(|i| i * 1000).collect(),
-            (1..50u64).map(|i| i * i * 7919).collect(),
-            vec![5, 5, 5, 5],
-            vec![0, 1, u64::MAX - 1, u64::MAX],
-            (0..100u64).map(|i| i / 10).collect(),
-        ];
-        for bounds in boundary_sets {
+    fn owner_route_matches_route_owner_binary() {
+        for bounds in boundary_sets() {
             let router = ShardRouter::fit(bounds.clone());
             for q in probe_set(&bounds) {
                 assert_eq!(
                     router.route_owner(q),
                     route_owner_binary(&bounds, q),
-                    "bounds={bounds:?} q={q} learned={}",
-                    router.is_learned()
+                    "bounds={bounds:?} q={q}"
                 );
             }
         }
@@ -330,17 +171,17 @@ mod tests {
     }
 
     #[test]
-    fn near_uniform_boundaries_get_a_learned_model() {
-        let bounds: Vec<u64> = (1..128u64).map(|i| i * 1_000_003).collect();
-        let router = ShardRouter::fit(bounds);
-        assert!(router.is_learned());
-    }
-
-    #[test]
-    fn degenerate_boundaries_fall_back_to_binary() {
+    fn degenerate_boundaries_route_like_binary() {
         for bounds in [vec![], vec![42], vec![7, 7, 7]] {
-            let router = ShardRouter::fit(bounds);
-            assert!(!router.is_learned());
+            let router = ShardRouter::fit(bounds.clone());
+            for q in probe_set(&bounds) {
+                assert_eq!(router.route(q), route_binary(&bounds, q), "q={q}");
+                assert_eq!(
+                    router.route_owner(q),
+                    route_owner_binary(&bounds, q),
+                    "q={q}"
+                );
+            }
         }
     }
 
@@ -352,10 +193,8 @@ mod tests {
     }
 
     /// Boundary sets that stress `f64` precision: distinct u64 keys at
-    /// and above 2^53 collapse to identical f64 values, so the learned
-    /// model's arithmetic runs on lossy inputs. Every route must still
-    /// match the exact-integer reference — a wrong-but-certified window
-    /// is the failure mode this pins down.
+    /// and above 2^53 collapse to identical f64 values. Routing compares
+    /// integers, so every route must match the reference exactly.
     fn high_precision_boundary_sets() -> Vec<Vec<u64>> {
         const P53: u64 = 1 << 53;
         vec![
@@ -368,9 +207,7 @@ mod tests {
             (0..64u64)
                 .map(|i| P53 + i * ((u64::MAX - P53) / 64))
                 .collect(),
-            // Catastrophic-cancellation bait: huge nearly-equal keys
-            // with one outlier (the uncentered normal equations lose
-            // ~all significant bits on sets like this).
+            // Huge nearly-equal keys with one outlier.
             vec![P53, u64::MAX - 2, u64::MAX - 1, u64::MAX],
             // Mixed magnitudes: tiny keys and 2^53+ keys in one set.
             vec![1, 2, 3, P53, P53 + 1, u64::MAX - 1, u64::MAX],
@@ -390,54 +227,18 @@ mod tests {
                 assert_eq!(
                     router.route(q),
                     route_binary(&bounds, q),
-                    "bounds[0]={} n={} q={q} learned={}",
+                    "bounds[0]={} n={} q={q}",
                     bounds[0],
                     bounds.len(),
-                    router.is_learned()
                 );
                 assert_eq!(
                     router.route_owner(q),
                     route_owner_binary(&bounds, q),
-                    "owner: bounds[0]={} n={} q={q} learned={}",
+                    "owner: bounds[0]={} n={} q={q}",
                     bounds[0],
                     bounds.len(),
-                    router.is_learned()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn centered_fit_survives_huge_magnitudes() {
-        // Uniformly spaced boundaries high above 2^53 are exactly the
-        // case the uncentered determinant `n·Σx² − (Σx)²` destroys
-        // (every x² ≈ 1.3e38; their differences are noise). The
-        // centered fit must keep the learned path here.
-        let base = 1u64 << 60;
-        let bounds: Vec<u64> = (0..128u64).map(|i| base + i * (1 << 40)).collect();
-        let router = ShardRouter::fit(bounds.clone());
-        assert!(
-            router.is_learned(),
-            "uniform high-magnitude boundaries must stay learnable"
-        );
-        for q in probe_set(&bounds) {
-            assert_eq!(router.route(q), route_binary(&bounds, q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn useless_windows_fall_back_to_binary() {
-        // An adversarial set whose best-fit window covers the whole
-        // array: the learned path would do strictly more work than the
-        // fallback, so fit() must reject the model outright.
-        let mut bounds: Vec<u64> = (0..20u64).collect(); // dense cluster
-        bounds.push(u64::MAX); // one far outlier flattens the line
-        let router = ShardRouter::fit(bounds.clone());
-        if let Some(err) = router.window_err() {
-            assert!(err < bounds.len(), "window must narrow the search");
-        }
-        for q in probe_set(&bounds) {
-            assert_eq!(router.route(q), route_binary(&bounds, q), "q={q}");
         }
     }
 }

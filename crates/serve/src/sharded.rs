@@ -3,7 +3,7 @@
 //! Range-partitions one shared [`KeyStore`] into contiguous shards
 //! (`KeyStore::slice` — no key is ever copied), builds a pluggable
 //! [`ShardBuilder`] backend per shard, and routes every query through a
-//! learned-with-binary-fallback [`ShardRouter`]. `ShardedIndex` itself
+//! [`ShardRouter`] over the shard boundary keys. `ShardedIndex` itself
 //! implements [`RangeIndex`], so every harness, property suite and
 //! figure in the workspace runs against it unchanged — sharding is an
 //! implementation detail behind the same trait.
@@ -24,8 +24,8 @@ use li_obs::MetricsSnapshot;
 ///   `KeyStore::slice` of the same allocation (`ptr_eq` holds across
 ///   all shards).
 /// * **Routing**: a query goes to the shard whose position range
-///   contains its global lower bound (learned router, O(1)-verified;
-///   see `li_index::partition::route_binary` for the proof, duplicates
+///   contains its global lower bound (see
+///   `li_index::partition::route_binary` for the proof, duplicates
 ///   included).
 /// * **Batched**: `lower_bound_batch` buckets the queries per shard and
 ///   hands each shard its bucket in one call, so phase-split backends
@@ -101,8 +101,7 @@ impl ShardedIndex {
         self.offsets[i]
     }
 
-    /// The router (exposed so callers can check whether the learned
-    /// fast path is active).
+    /// The router over the shard boundary keys.
     pub fn router(&self) -> &ShardRouter {
         &self.router
     }
@@ -116,9 +115,8 @@ impl ShardedIndex {
 
     /// Reassemble from loaded parts — the persistence load path, where
     /// the shard backends were rebuilt from saved parameters over
-    /// slices of `store` with no retraining. The router is refit from
-    /// the boundary keys (cheap: one tiny least-squares over
-    /// `shard_count - 1` keys, not a model retrain).
+    /// slices of `store` with no retraining. The router is rebuilt over
+    /// the boundary keys (`shard_count - 1` keys, no model).
     ///
     /// # Panics
     /// If `offsets` is not a valid partition of `store` into
@@ -241,14 +239,9 @@ impl RangeIndex for ShardedIndex {
 
     fn name(&self) -> String {
         format!(
-            "sharded(n={}, backend={}, router={})",
+            "sharded(n={}, backend={})",
             self.shards.len(),
-            self.backend_name,
-            if self.router.is_learned() {
-                "learned"
-            } else {
-                "binary"
-            }
+            self.backend_name
         )
     }
 }

@@ -22,7 +22,7 @@
 //!   excluded, a hot shard is split at its balanced
 //!   [`li_index::partition::split_point`] (handing the upper half of
 //!   its keys to a new sibling), or two cold neighbors are merged; the
-//!   boundary vector is updated, the router refitted, and the whole
+//!   boundary vector is updated, the router rebuilt, and the whole
 //!   topology published as one new `Arc`. A snapshot therefore always
 //!   observes a *pre-* or *post-*rebalance topology, never a torn
 //!   mixture — the property the stress and property suites pin down.
@@ -1152,8 +1152,8 @@ impl ShardedWritable {
     /// Reassemble a structure from loaded state: per-shard
     /// [`WritableShard`]s already populated with their trained bases
     /// and replayed deltas, plus the ownership bounds they were saved
-    /// under. The router is refit over the bounds (a cheap O(shards)
-    /// linear fit — not model retraining); counters restart at zero and
+    /// under. The router is rebuilt over the bounds (no model, nothing
+    /// trains); counters restart at zero and
     /// the generation at 0, matching a fresh build.
     pub(crate) fn from_loaded(
         bounds: Vec<u64>,
