@@ -183,32 +183,48 @@ pub fn print(rows: &[Fig4Row], keys: usize) {
 mod tests {
     use super::*;
 
+    /// Median of `values`.
+    fn median(mut values: Vec<f64>) -> f64 {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    }
+
     #[test]
     fn smoke_run_produces_full_grid() {
-        let rows = run(&BenchConfig::smoke());
+        // Five samples of every row: a single sample preempted on a
+        // loaded host can break the ratio bounds below, the median of
+        // five cannot unless most samples are.
+        let samples: Vec<Vec<Fig4Row>> = (0..5).map(|_| run(&BenchConfig::smoke())).collect();
         // 3 datasets × (5 pages + 4 learned) = 27 rows.
-        assert_eq!(rows.len(), 27);
-        for r in &rows {
-            assert!(r.lookup_ns > 0.0, "{}", r.config);
+        assert!(samples.iter().all(|rows| rows.len() == 27));
+        for (i, r) in samples[0].iter().enumerate() {
+            let med =
+                |f: fn(&Fig4Row) -> f64| median(samples.iter().map(|rows| f(&rows[i])).collect());
+            let (lookup_ns, model_ns, batch_ns) = (
+                med(|r| r.lookup_ns),
+                med(|r| r.model_ns),
+                med(|r| r.batch_ns),
+            );
+            assert!(lookup_ns > 0.0, "{}", r.config);
             // Model time can exceed total by measurement jitter on tiny
             // windows; it must never *dwarf* it.
             assert!(
-                r.model_ns <= r.lookup_ns * 3.0 + 50.0,
+                model_ns <= lookup_ns * 3.0 + 50.0,
                 "{}: model {} vs total {}",
                 r.config,
-                r.model_ns,
-                r.lookup_ns
+                model_ns,
+                lookup_ns
             );
             // The batched column measures the same work through
             // lower_bound_batch; it must be in the same order of
             // magnitude as scalar (jitter aside), never zero.
-            assert!(r.batch_ns > 0.0, "{}", r.config);
+            assert!(batch_ns > 0.0, "{}", r.config);
             assert!(
-                r.batch_ns <= r.lookup_ns * 5.0 + 100.0,
+                batch_ns <= lookup_ns * 5.0 + 100.0,
                 "{}: batch {} vs scalar {}",
                 r.config,
-                r.batch_ns,
-                r.lookup_ns
+                batch_ns,
+                lookup_ns
             );
         }
     }

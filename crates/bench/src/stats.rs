@@ -14,7 +14,9 @@
 //!
 //! * **operation counters** — inserts/lookups (scalar and batched) and
 //!   the structural events the load provoked (splits, merges, seals,
-//!   compactions);
+//!   compactions), plus `li_trainings_total`, every retrain of the
+//!   structure's models (its durations are the `li_train_ns` row of
+//!   the histogram table);
 //! * **per-shard gauges** — len / run-stack depth / pending delta per
 //!   shard at snapshot time;
 //! * **latency histograms** — count/mean/p50/p99 per instrumented
@@ -200,6 +202,7 @@ pub fn print(report: &StatsReport, keys: usize) {
         "li_buffer_seals_total",
         "li_buffer_merges_total",
         "li_compactions_total",
+        "li_trainings_total",
     ] {
         t.row(&[
             name.to_string(),
@@ -322,6 +325,11 @@ mod tests {
         assert!(report.final_shards > STATS_SHARDS);
         let events = snap.ring("li_events").expect("ring registered");
         assert!(events.iter().any(|e| e.name == "shard_split"), "{events:?}");
+        // Every retrain is counted and timed: the shard builds, one per
+        // buffer merge, and the rebuilds of every split.
+        let trainings = snap.counter("li_trainings_total").expect("registered");
+        assert!(trainings >= STATS_SHARDS as u64 + snap.counter("li_buffer_merges_total").unwrap());
+        assert_eq!(snap.histogram("li_train_ns").unwrap().count(), trainings);
         // Sampled latency histograms saw the workload.
         for name in ["li_insert_ns", "li_lookup_ns", "li_batch_insert_ns"] {
             let h = snap.histogram(name).expect("registered");

@@ -84,9 +84,10 @@ pub struct WalRecoveryRow {
     /// Keys verified present after recovery (base + every logged key).
     pub verified: usize,
     /// Models trained during recovery. The snapshot load trains zero;
-    /// replay goes through the normal routed insert path, so delta
-    /// merges train exactly as the live writes they reproduce did — at
-    /// small scales (below the merge threshold per shard) this is 0.
+    /// replay applies the logged keys through the routed batch insert
+    /// path in 65,536-key chunks, so a shard merges about once per
+    /// chunk rather than as often as the live writes did — at small
+    /// scales (below the merge threshold per shard) this is 0.
     pub trained: u64,
 }
 
@@ -307,7 +308,7 @@ pub fn print(results: &(Vec<WalRow>, WalRecoveryRow), keys: usize) {
         rec.verified.to_string(),
         rec.trained.to_string(),
     ]);
-    t.note("recovery = load the snapshot (zero training) + scan the log + replay every record with lsn > snapshot lsn through the routed unlogged insert path");
+    t.note("recovery = load the snapshot (zero training) + scan the log + replay every record with lsn > snapshot lsn through the routed unlogged batch insert path, 65,536 keys per batch");
     t.note("verified sweeps every base and every logged key through contains() on the recovered structure");
     t.print();
     println!();

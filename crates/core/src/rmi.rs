@@ -7,15 +7,22 @@
 //! linear models — §3.7.1 found "for the second stage, simple, linear
 //! models, had the best performance".
 //!
-//! Training is stage-wise, exactly Algorithm 1 of the paper:
+//! Training is stage-wise, exactly Algorithm 1 of the paper, and every
+//! step is a streaming pass over the sorted keys:
 //!
 //! 1. train the stage-0 model on all `(key, position)` pairs;
-//! 2. route every key through the *trained* prefix of stages —
-//!    `model = ⌊M · f(x) / N⌋` — collecting per-model training subsets;
-//! 3. train each next-stage model on its subset;
+//! 2. route every key once through the *trained* prefix of stages —
+//!    `model = ⌊M · f(x) / N⌋` — cutting the key array into **runs**:
+//!    maximal ranges of consecutive keys that pick the same model. A
+//!    linear cascade routes sorted keys monotonically, so each model
+//!    gets at most one run; a non-monotone router (an MLP top, a
+//!    three-stage cascade) only gives a model more runs;
+//! 3. train each next-stage model on the key slices of its runs — no
+//!    key is copied into a per-model bucket;
 //! 4. at the last stage, record each model's min-, max- and standard
-//!    error over its keys, and (hybrid mode) replace any model whose
-//!    absolute error exceeds `threshold` with a B-Tree over its range.
+//!    error over the same runs, and (hybrid mode) replace any model
+//!    whose absolute error exceeds `threshold` with a B-Tree over its
+//!    range.
 //!
 //! Lookups run the model cascade (no search between stages — "the output
 //! of Model 1.1 is directly used to pick the model in the next stage"),
@@ -28,6 +35,7 @@ use li_btree::BTreeIndex;
 use li_index::{KeyStore, Prediction, RangeIndex};
 use li_models::{FeatureMap, LinearModel, Mlp, MlpConfig, Model, MultivariateLinear};
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Stage-0 model family (§3.3's model zoo).
 #[derive(Debug, Clone, PartialEq)]
@@ -50,19 +58,24 @@ pub enum TopModel {
 }
 
 impl TopModel {
-    fn fit(&self, keys: &[f64]) -> TrainedTop {
+    /// Train on every `(key, position)` pair. Only the multivariate
+    /// and MLP fitters take an f64 copy of the keys.
+    fn fit(&self, keys: &[u64]) -> TrainedTop {
+        let as_f64 = || keys.iter().map(|&k| k as f64).collect::<Vec<f64>>();
         match *self {
-            TopModel::Linear => TrainedTop::Linear(LinearModel::fit_keys(keys)),
+            TopModel::Linear => TrainedTop::Linear(LinearModel::fit(
+                keys.iter().enumerate().map(|(i, &k)| (k as f64, i as f64)),
+            )),
             TopModel::Multivariate(fm) => {
-                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_keys(fm, keys)))
+                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_keys(fm, &as_f64())))
             }
             TopModel::MultivariateAuto => {
                 let ys: Vec<f64> = (0..keys.len()).map(|i| i as f64).collect();
-                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_select(keys, &ys)))
+                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_select(&as_f64(), &ys)))
             }
             TopModel::Mlp { hidden, width } => {
                 let cfg = MlpConfig::new(hidden, width);
-                TrainedTop::Mlp(Box::new(Mlp::fit_keys(&cfg, keys)))
+                TrainedTop::Mlp(Box::new(Mlp::fit_keys(&cfg, &as_f64())))
             }
         }
     }
@@ -419,6 +432,65 @@ fn leaf_position(slope: f64, intercept: f64, x: f64, n: usize) -> usize {
     ((slope * x + intercept) as usize).min(n - 1)
 }
 
+/// The keys of one stage's training set, split by the model each routes
+/// to: a run is a maximal range of consecutive key positions that pick
+/// the same model. Routing is monotone over sorted keys for a linear
+/// cascade, so each model then gets at most one run; a non-monotone
+/// router (an MLP top, a deeper cascade) just gives a model more.
+struct Runs {
+    /// Every run, grouped by model and in key order within a model.
+    runs: Vec<Range<usize>>,
+    /// Model `j`'s runs are `runs[starts[j]..starts[j + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Runs {
+    /// Route every key once through `plan`, whose picks index a next
+    /// stage of `m` models.
+    fn route(plan: &LookupPlan, keys: &[u64], m: usize) -> Self {
+        // Runs in key order, each tagged with its model.
+        let mut found: Vec<(usize, Range<usize>)> = Vec::new();
+        for (i, &k) in keys.iter().enumerate() {
+            let p = plan.leaf(k as f64);
+            match found.last_mut() {
+                Some((q, run)) if *q == p => run.end = i + 1,
+                _ => found.push((p, i..i + 1)),
+            }
+        }
+        // Counting sort by model: stable, so each model's runs stay in
+        // key order.
+        let mut starts = vec![0usize; m + 1];
+        for (p, _) in &found {
+            starts[p + 1] += 1;
+        }
+        for j in 0..m {
+            starts[j + 1] += starts[j];
+        }
+        let mut next = starts.clone();
+        let mut runs = vec![0..0; found.len()];
+        for (p, run) in found {
+            runs[next[p]] = run;
+            next[p] += 1;
+        }
+        Self { runs, starts }
+    }
+
+    /// Model `j`'s runs, in key order.
+    fn of(&self, j: usize) -> &[Range<usize>] {
+        &self.runs[self.starts[j]..self.starts[j + 1]]
+    }
+}
+
+/// The `(key, position)` training pairs of `runs`.
+fn points<'a>(keys: &'a [u64], runs: &'a [Range<usize>]) -> impl Iterator<Item = (f64, f64)> + 'a {
+    runs.iter().flat_map(move |run| {
+        keys[run.clone()]
+            .iter()
+            .zip(run.clone())
+            .map(|(&k, i)| (k as f64, i as f64))
+    })
+}
+
 /// `e` clamped into the `i32` range.
 fn saturate(e: i64) -> i32 {
     e.clamp(i32::MIN.into(), i32::MAX.into()) as i32
@@ -455,23 +527,19 @@ impl Rmi {
         );
 
         let n = data.len();
-        let keys_f64: Vec<f64> = data.iter().map(|&k| k as f64).collect();
+        let keys: &[u64] = &data;
 
         // Stage 0 (Algorithm 1 line 6, i = 1): train on everything.
-        let mut plan = LookupPlan::new(config.top.fit(&keys_f64), stages[0], n);
+        let mut plan = LookupPlan::new(config.top.fit(keys), stages[0], n);
 
         // Inner stages: route with the trained prefix, then fit linear
-        // models per member (lines 4-10).
+        // models over each member's runs (lines 4-10).
         let mut mids = Vec::new();
         for s in 0..stages.len() - 1 {
-            let mut buckets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); stages[s]];
-            for (i, &x) in keys_f64.iter().enumerate() {
-                buckets[plan.leaf(x)].push((x, i as f64));
-            }
-            let stage: Vec<(f64, f64)> = buckets
-                .into_iter()
-                .map(|b| {
-                    let m = LinearModel::fit(b.into_iter());
+            let runs = Runs::route(&plan, keys, stages[s]);
+            let stage: Vec<(f64, f64)> = (0..stages[s])
+                .map(|j| {
+                    let m = LinearModel::fit(points(keys, runs.of(j)));
                     (m.slope(), m.intercept())
                 })
                 .collect();
@@ -479,20 +547,18 @@ impl Rmi {
             mids.push(stage);
         }
 
-        // Leaf stage: fit, then compute error envelopes (lines 11-12).
-        let mut buckets: Vec<Vec<(f64, usize)>> = vec![Vec::new(); stages[stages.len() - 1]];
-        for (i, &x) in keys_f64.iter().enumerate() {
-            buckets[plan.leaf(x)].push((x, i));
-        }
+        // Leaf stage: fit, then compute error envelopes over the same
+        // runs (lines 11-12).
+        let runs = Runs::route(&plan, keys, stages[stages.len() - 1]);
         // Empty leaves predict the boundary position of the nearest
         // preceding non-empty leaf, so predictions stay roughly monotone
         // across leaves and mis-routed queries widen minimally.
         let mut boundary = 0usize;
-        let leaves = buckets
-            .iter()
-            .map(|bucket| {
-                // Positions were pushed in ascending order.
-                let (Some(&(_, first)), Some(&(_, last))) = (bucket.first(), bucket.last()) else {
+        let leaves = (0..stages[stages.len() - 1])
+            .map(|j| {
+                let runs = runs.of(j);
+                // Runs are in key order, so positions ascend.
+                let (Some(first), Some(last)) = (runs.first(), runs.last()) else {
                     return LeafParams {
                         model: LeafModelParams::Linear {
                             slope: 0.0,
@@ -504,18 +570,20 @@ impl Rmi {
                         n_keys: 0,
                     };
                 };
+                let (first, last) = (first.start, last.end - 1);
                 boundary = last + 1;
-                let m = LinearModel::fit(bucket.iter().map(|&(x, y)| (x, y as f64)));
+                let m = LinearModel::fit(points(keys, runs));
                 let (slope, intercept) = (m.slope(), m.intercept());
                 let mut min_err = i64::MAX;
                 let mut max_err = i64::MIN;
                 let mut sum_sq = 0.0f64;
-                for &(x, y) in bucket {
+                for (x, y) in points(keys, runs) {
                     let e = y as i64 - leaf_position(slope, intercept, x, n) as i64;
                     min_err = min_err.min(e);
                     max_err = max_err.max(e);
                     sum_sq += (e as f64) * (e as f64);
                 }
+                let count: usize = runs.iter().map(ExactSizeIterator::len).sum();
                 // Hybrid replacement (lines 13-14). The leaf B-Tree
                 // indexes a zero-copy slice view of the shared key array.
                 let abs_err = min_err.unsigned_abs().max(max_err.unsigned_abs());
@@ -531,8 +599,8 @@ impl Rmi {
                     model,
                     min_err,
                     max_err,
-                    std_err: (sum_sq / bucket.len() as f64).sqrt(),
-                    n_keys: bucket.len() as u64,
+                    std_err: (sum_sq / count as f64).sqrt(),
+                    n_keys: count as u64,
                 }
             })
             .collect();
@@ -1149,6 +1217,85 @@ mod tests {
                 let mut keys = family.generate(20_000, 5);
                 keys.dedup(); // an RMI indexes unique keys
                 assert_stored_keys_inside_windows(&keys, cfg, family.name());
+            }
+        }
+    }
+
+    /// Key sets and configurations whose routing is not monotone over
+    /// sorted keys, so that some leaf trains over more than one run: a
+    /// three-stage cascade, where neighbouring inner models disagree at
+    /// their border, and an MLP top with a leaf per key.
+    fn several_run_cases() -> Vec<(Vec<u64>, RmiConfig)> {
+        let lognormal = |n| li_data::Dataset::Lognormal.generate(n, 3).keys().to_vec();
+        let mlp = TopModel::Mlp {
+            hidden: 2,
+            width: 8,
+        };
+        vec![
+            (
+                lognormal(50_000),
+                RmiConfig {
+                    stages: vec![16, 256],
+                    ..Default::default()
+                },
+            ),
+            (lognormal(20_000), RmiConfig::two_stage(mlp, 20_000)),
+        ]
+    }
+
+    /// The most runs any leaf of `rmi` was trained over.
+    fn most_runs_per_leaf(rmi: &Rmi, keys: &[u64]) -> usize {
+        let runs = Runs::route(&rmi.plan, keys, rmi.leaves.len());
+        (0..rmi.leaves.len())
+            .map(|j| runs.of(j).len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn stored_keys_never_widen_when_models_train_over_several_runs() {
+        for (keys, cfg) in &several_run_cases() {
+            let rmi = Rmi::build(keys.clone(), cfg);
+            assert!(
+                most_runs_per_leaf(&rmi, keys) > 1,
+                "{}: every leaf got one run",
+                rmi.name()
+            );
+            assert_stored_keys_inside_windows(keys, cfg, &rmi.name());
+        }
+    }
+
+    #[test]
+    fn leaf_envelopes_match_a_brute_force_recomputation() {
+        let mut cases = several_run_cases();
+        let keys = cases[0].0.clone();
+        cases.push((keys, RmiConfig::two_stage(TopModel::Linear, 128)));
+        for (keys, cfg) in &cases {
+            let rmi = Rmi::build(keys.clone(), cfg);
+            let n = keys.len();
+            // Route every key on its own and take each leaf's errors
+            // from its stored model.
+            let mut want = vec![(i64::MAX, i64::MIN, 0u64); rmi.leaves.len()];
+            for (i, &k) in keys.iter().enumerate() {
+                let j = rmi.plan.leaf(k as f64);
+                let LeafModelParams::Linear { slope, intercept } = rmi.leaves[j].model else {
+                    unreachable!("no hybrid leaves in these configs");
+                };
+                let e = i as i64 - leaf_position(slope, intercept, k as f64, n) as i64;
+                let w = &mut want[j];
+                *w = (w.0.min(e), w.1.max(e), w.2 + 1);
+            }
+            for (j, (leaf, &(min_err, max_err, count))) in rmi.leaves.iter().zip(&want).enumerate()
+            {
+                assert_eq!(leaf.n_keys, count, "{} leaf {j}", rmi.name());
+                if count > 0 {
+                    assert_eq!(
+                        (leaf.min_err, leaf.max_err),
+                        (min_err, max_err),
+                        "{} leaf {j}",
+                        rmi.name()
+                    );
+                }
             }
         }
     }

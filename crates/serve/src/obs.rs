@@ -29,6 +29,7 @@
 //!   the per-key average — one timer pair amortized over the batch.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use li_obs::{Counter, Gauge, GaugeSet, Histogram, MetricsRegistry, TraceRing};
 
@@ -77,6 +78,9 @@ pub mod events {
     /// `a` = chosen family code ([`crate::select::BackendChoice::code`]),
     /// `b` = keys in the shard.
     pub const BACKEND_SELECT: u32 = 11;
+    /// A structure retrained (a buffer merge, a compaction fold or a
+    /// shard build): `a` = keys trained over, `b` = training time in ns.
+    pub const TRAIN: u32 = 12;
 }
 
 /// Resolve an event kind code to its catalog name.
@@ -93,6 +97,7 @@ pub fn event_name(kind: u32) -> &'static str {
         events::SNAPSHOT_LOAD => "snapshot_load",
         events::RECOVERY_REPLAY => "recovery_replay",
         events::BACKEND_SELECT => "backend_select",
+        events::TRAIN => "train",
         _ => "unknown",
     }
 }
@@ -146,6 +151,10 @@ pub struct ServeMetrics {
     /// shard's backend family relative to the shard it was rebuilt
     /// from (Auto mode only).
     pub backend_switches: Arc<Counter>,
+    /// `li_trainings_total`: retrains of this structure's learned
+    /// models — buffer merges, compaction folds and shard
+    /// (re)builds, each counted once however many models it fits.
+    pub trainings: Arc<Counter>,
 
     // ---- gauges ----
     /// `li_shard_count`: live shard count.
@@ -170,6 +179,9 @@ pub struct ServeMetrics {
     pub batch_insert_ns: Arc<Histogram>,
     /// `li_merge_ns`: buffer-merge (retrain + swap) duration.
     pub merge_ns: Arc<Histogram>,
+    /// `li_train_ns`: duration of each retrain counted by
+    /// `li_trainings_total`.
+    pub train_ns: Arc<Histogram>,
     /// `li_compact_train_ns`: off-lock fold retrain duration.
     pub compact_train_ns: Arc<Histogram>,
     /// `li_compact_install_ns`: under-write-lock fold install duration.
@@ -221,6 +233,7 @@ impl ServeMetrics {
             wal_replayed: c("li_wal_replayed_total"),
             backend_selections: c("li_backend_selections_total"),
             backend_switches: c("li_backend_switches_total"),
+            trainings: c("li_trainings_total"),
             shard_count: registry.gauge("li_shard_count"),
             generation: registry.gauge("li_generation"),
             shard_len: registry.gauge_set("li_shard_len", "shard"),
@@ -231,6 +244,7 @@ impl ServeMetrics {
             insert_ns: h("li_insert_ns"),
             batch_insert_ns: h("li_batch_insert_ns"),
             merge_ns: h("li_merge_ns"),
+            train_ns: h("li_train_ns"),
             compact_train_ns: h("li_compact_train_ns"),
             compact_install_ns: h("li_compact_install_ns"),
             pass_observe_ns: h("li_pass_observe_ns"),
@@ -255,6 +269,18 @@ impl ServeMetrics {
     #[inline]
     pub fn event(&self, kind: u32, a: u64, b: u64) {
         self.events.record(kind, a, b);
+    }
+
+    /// Record one retrain over `keys` keys that started at `started`:
+    /// bumps `li_trainings_total`, records the duration into
+    /// `li_train_ns` plus a `train` event, and returns the duration
+    /// in ns for the caller's phase histogram.
+    pub fn trained(&self, keys: usize, started: Instant) -> u64 {
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.trainings.incr();
+        self.train_ns.record(ns);
+        self.event(events::TRAIN, keys as u64, ns);
+        ns
     }
 }
 
@@ -292,7 +318,7 @@ mod tests {
 
     #[test]
     fn every_kind_has_a_catalog_name() {
-        for k in 1..=11u32 {
+        for k in 1..=12u32 {
             assert_ne!(event_name(k), "unknown", "kind {k}");
         }
         assert_eq!(event_name(0), "unknown");

@@ -366,8 +366,7 @@ impl ShardedWritable {
         Ok(self.insert_unlogged(key))
     }
 
-    /// The WAL-free insert body shared by every write path (and used
-    /// directly by recovery replay, which must not re-log records).
+    /// The WAL-free insert body shared by every scalar write path.
     fn insert_unlogged(&self, key: u64) -> bool {
         let obs = {
             // The read *guard* (not just the topology Arc) must live
@@ -1309,9 +1308,15 @@ impl ShardedWritable {
     /// 2. **Scan the WAL** at `wal_path`: decode records up to the
     ///    first torn or checksum-failing one and truncate the invalid
     ///    tail (a missing file scans as an empty log).
-    /// 3. **Replay** every record with `lsn > snapshot_lsn` through
-    ///    the normal routed insert path (unlogged — replay must not
-    ///    re-append). Inserts are idempotent, so records the snapshot
+    /// 3. **Replay** every record with `lsn > snapshot_lsn`: their
+    ///    keys are gathered into one list, in log order, and applied
+    ///    through the normal routed batch insert path (unlogged —
+    ///    replay must not re-append) in chunks of `REPLAY_CHUNK`
+    ///    (65,536) keys. Each shard then buffers, and merges and
+    ///    retrains, about once per chunk instead of once per
+    ///    `merge_threshold` records, and rebalance pressure is still
+    ///    checked between chunks, so an overloaded shard splits during
+    ///    replay. Inserts are idempotent, so records the snapshot
     ///    already covers (impossible by the LSN bound) or a previous
     ///    half-finished recovery already applied (possible — replay
     ///    mutates only memory) are harmless duplicates.
@@ -1342,20 +1347,20 @@ impl ShardedWritable {
         let truncated_bytes = found.torn_bytes();
         let mut replayed = 0usize;
         let mut skipped = 0usize;
+        let mut keys = Vec::new();
         for record in &found.records {
             if record.lsn <= snapshot_lsn {
                 skipped += 1;
                 continue;
             }
             match &record.op {
-                WalOp::Insert(key) => {
-                    sw.insert_unlogged(*key);
-                }
-                WalOp::InsertBatch(keys) => {
-                    sw.insert_batch_unlogged(keys);
-                }
+                WalOp::Insert(key) => keys.push(*key),
+                WalOp::InsertBatch(batch) => keys.extend_from_slice(batch),
             }
             replayed += 1;
+        }
+        for chunk in keys.chunks(REPLAY_CHUNK) {
+            sw.insert_batch_unlogged(chunk);
         }
 
         let mut wal = Wal::open_after_recovery(wal_path.as_ref(), policy, &found, snapshot_lsn)?;
@@ -1376,6 +1381,10 @@ impl ShardedWritable {
         Ok((sw, report))
     }
 }
+
+/// Keys per batch insert during WAL replay (see
+/// [`ShardedWritable::recover_with_config`], step 3).
+const REPLAY_CHUNK: usize = 1 << 16;
 
 /// What [`ShardedWritable::recover_with_config`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1500,6 +1509,7 @@ fn build_selected_shard(
     prev_hybrid: Option<bool>,
 ) -> WritableShard {
     let keys: KeyStore = keys.into();
+    let started = Instant::now();
     let (rmi, cfg) = match config.backend {
         Backend::Auto => {
             let (rmi, cfg, choice) = train_selected(&keys, config.leaf_fraction, &config.retune);
@@ -1524,6 +1534,7 @@ fn build_selected_shard(
             Some(&config.retune),
         ),
     };
+    obs.trained(keys.len(), started);
     let shard = WritableShard::from_delta(
         DeltaIndex::from_trained(rmi, cfg, config.merge_threshold).with_tiering(config.max_runs),
     );
@@ -2022,6 +2033,87 @@ mod tests {
             rec.range_keys(0, u64::MAX),
             (0..20u64).map(|k| k * 3).collect::<Vec<_>>()
         );
+    }
+
+    /// `small_cfg` with rebalancing off, so that the only retrains are
+    /// the two shard builds and what the buffers trigger.
+    fn steady_cfg(merge_threshold: usize, max_runs: usize) -> ShardedWritableConfig {
+        ShardedWritableConfig {
+            merge_threshold,
+            max_runs,
+            check_interval: 0,
+            rebalance: RebalanceConfig {
+                max_shard_len: usize::MAX,
+                merge_max_len: 0,
+                max_mean_err: None,
+                max_shards: 16,
+            },
+            ..small_cfg()
+        }
+    }
+
+    /// `(li_trainings_total, li_train_ns samples, train events)`.
+    fn trainings(sw: &ShardedWritable) -> (u64, u64, usize) {
+        let m = sw.metrics();
+        let events = m.ring("li_events").expect("ring registered");
+        (
+            m.counter("li_trainings_total").expect("registered"),
+            m.histogram("li_train_ns").expect("registered").count(),
+            events.iter().filter(|e| e.name == "train").count(),
+        )
+    }
+
+    #[test]
+    fn every_merge_and_compaction_counts_one_training() {
+        let data: Vec<u64> = (0..1000u64).map(|i| i * 8).collect();
+        let sw = ShardedWritable::new(data.clone(), 2, steady_cfg(16, 0));
+        assert_eq!(trainings(&sw), (2, 2, 2), "one training per shard build");
+        for k in 0..300u64 {
+            sw.insert(k * 8 + 3);
+        }
+        sw.insert_batch(&(0..100u64).map(|k| k * 8 + 5).collect::<Vec<_>>());
+        let merges = sw.metrics().counter("li_buffer_merges_total").unwrap();
+        assert!(merges > 0, "the stream must fill buffers");
+        let n = 2 + merges;
+        assert_eq!(trainings(&sw), (n, n, n as usize));
+
+        let tiered = ShardedWritable::new(data, 2, steady_cfg(16, 2));
+        for k in 0..300u64 {
+            tiered.insert(k * 8 + 3);
+        }
+        let folds = tiered.compactions() as u64;
+        assert!(folds > 0, "full run stacks must compact");
+        assert_eq!(trainings(&tiered).0, 2 + folds, "a seal is not a training");
+    }
+
+    #[test]
+    fn loads_and_roomy_recoveries_train_nothing() {
+        let snap = tmp("trainings.lidx");
+        let wal_path = tmp("trainings.wal");
+        let (_g1, _g2) = (Cleanup(snap.clone()), Cleanup(wal_path.clone()));
+        let sw = ShardedWritable::new(
+            (0..1000u64).map(|i| i * 8).collect::<Vec<_>>(),
+            2,
+            steady_cfg(4096, 0),
+        );
+        sw.save(&snap).unwrap();
+        sw.enable_wal(&wal_path, WalSyncPolicy::PerRecord).unwrap();
+        for k in 0..100u64 {
+            sw.insert(k * 8 + 3);
+        }
+        sw.insert_batch(&(0..100u64).map(|k| k * 8 + 5).collect::<Vec<_>>());
+        drop(sw);
+        assert_eq!(trainings(&ShardedWritable::load(&snap).unwrap()), (0, 0, 0));
+        let (rec, report) = ShardedWritable::recover_with_config(
+            &snap,
+            &wal_path,
+            WalSyncPolicy::PerRecord,
+            steady_cfg(4096, 0),
+        )
+        .unwrap();
+        assert_eq!(report.replayed, 101);
+        assert_eq!(rec.len(), 1200);
+        assert_eq!(trainings(&rec), (0, 0, 0));
     }
 
     #[test]

@@ -172,7 +172,8 @@ impl WritableShard {
             return 0;
         };
         if let Some(obs) = obs {
-            obs.compact_train_ns.record_since(t_train);
+            let ns = obs.trained(rebuilt.stats().keys, t_train);
+            obs.compact_train_ns.record(ns);
         }
         let t_install = Instant::now();
         let folded = self
@@ -214,7 +215,8 @@ impl WritableShard {
         let keys = KeyStore::new(cut.merged_keys());
         let (rebuilt, cfg, choice) = train_selected(&keys, leaf_fraction, retune);
         if let Some(obs) = obs {
-            obs.compact_train_ns.record_since(t_train);
+            let ns = obs.trained(keys.len(), t_train);
+            obs.compact_train_ns.record(ns);
         }
         let t_install = Instant::now();
         let folded = self
@@ -445,8 +447,10 @@ impl<'a> TierWatch<'a> {
         }
         if merges > 0 {
             self.obs.buffer_merges.add(merges as u64);
+            // Armed: a merge only fires on a write that fills the buffer.
             if let Some(t) = self.started {
-                self.obs.merge_ns.record_since(t);
+                let ns = self.obs.trained(guard.len(), t);
+                self.obs.merge_ns.record(ns);
             }
             self.obs.event(
                 events::BUFFER_MERGE,

@@ -7,7 +7,7 @@ use learned_indexes::data::{Dataset, Record20};
 use learned_indexes::hash::{CdfHasher, ChainedHashMap, KeyHasher, MurmurHasher};
 use learned_indexes::models::NgramLogReg;
 use learned_indexes::rmi::{
-    DeltaIndex, Lif, LifSpec, RangeIndex, Rmi, RmiConfig, SearchStrategy, StringRmi,
+    DeltaIndex, Lif, LifReport, LifSpec, RangeIndex, Rmi, RmiConfig, SearchStrategy, StringRmi,
     StringRmiConfig, TopModel,
 };
 
@@ -25,7 +25,12 @@ fn lif_synthesis_end_to_end() {
         probe_queries: 20_000,
         seed: 2,
     };
-    let report = Lif::synthesize(keyset.keys(), &spec);
+    // Five syntheses: the speed bound below compares medians, which a
+    // single preempted timing on a loaded host cannot move.
+    let reports: Vec<_> = (0..5)
+        .map(|_| Lif::synthesize(keyset.keys(), &spec))
+        .collect();
+    let report = &reports[0];
     // Every candidate (whichever wins the timing race at this scale)
     // must answer exactly; the learned candidate must be competitive in
     // speed (§2's O(1) argument) and far smaller than the B-Tree.
@@ -35,27 +40,25 @@ fn lif_synthesis_end_to_end() {
             keyset.keys().binary_search(&k).ok()
         );
     }
-    let rmi = report
-        .candidates
-        .iter()
-        .find(|c| c.name.starts_with("rmi"))
-        .expect("learned candidate present");
-    let btree = report
-        .candidates
-        .iter()
-        .find(|c| c.name.starts_with("btree"))
-        .expect("btree candidate present");
+    let candidate = |report: &LifReport, prefix: &str| {
+        report
+            .candidates
+            .iter()
+            .find(|c| c.name.starts_with(prefix))
+            .map(|c| (c.lookup_ns, c.size_bytes))
+            .unwrap_or_else(|| panic!("{prefix} candidate present"))
+    };
+    let median_ns = |prefix: &str| {
+        let mut ns: Vec<f64> = reports.iter().map(|r| candidate(r, prefix).0).collect();
+        ns.sort_by(f64::total_cmp);
+        ns[ns.len() / 2]
+    };
+    let (rmi_ns, btree_ns) = (median_ns("rmi"), median_ns("btree"));
+    let (rmi_bytes, btree_bytes) = (candidate(report, "rmi").1, candidate(report, "btree").1);
+    assert!(rmi_ns < btree_ns * 2.0, "rmi {rmi_ns} vs btree {btree_ns}");
     assert!(
-        rmi.lookup_ns < btree.lookup_ns * 2.0,
-        "rmi {} vs btree {}",
-        rmi.lookup_ns,
-        btree.lookup_ns
-    );
-    assert!(
-        rmi.size_bytes < btree.size_bytes,
-        "rmi {} vs btree {}",
-        rmi.size_bytes,
-        btree.size_bytes
+        rmi_bytes < btree_bytes,
+        "rmi {rmi_bytes} vs btree {btree_bytes}"
     );
 }
 

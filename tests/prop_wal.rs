@@ -100,6 +100,16 @@ fn roomy_cfg() -> ShardedWritableConfig {
     }
 }
 
+/// `roomy_cfg` with buffers that merge every 8 keys: replaying any
+/// stream of more than `8 × shards` fresh keys merges and retrains, and
+/// with rebalancing off every retrain is a buffer merge.
+fn merging_cfg() -> ShardedWritableConfig {
+    ShardedWritableConfig {
+        merge_threshold: 8,
+        ..roomy_cfg()
+    }
+}
+
 /// Append `ops` to a fresh WAL at `path`, returning the byte offset of
 /// each record's end — the crash-injection cut points.
 fn write_log(path: &PathBuf, ops: &[Op]) -> Vec<u64> {
@@ -285,7 +295,73 @@ proptest! {
             prop_assert_eq!(report.truncated_bytes, cut - valid_end, "cut={}", cut);
             prop_assert_eq!(report.last_lsn, snapshot_lsn + k as u64, "cut={}", cut);
             prop_assert!(rec.wal_attached(), "recovery must re-arm the log");
+            prop_assert_eq!(rec.metrics().counter("li_trainings_total"), Some(0));
         }
+    }
+
+    /// Replay long enough to merge: a log of more than
+    /// `merge_threshold × shards` keys, scalar and batch records mixed,
+    /// torn inside its last record. Recovery must equal the oracle over
+    /// every whole record, count each record once, merge (one training
+    /// per merge), and recover the same state again from the same files.
+    #[test]
+    fn replay_that_merges_matches_the_oracle_and_repeats(
+        initial in prop::collection::vec(0u64..4000, 1..100),
+        raw in prop::collection::vec(
+            (any::<u8>(), prop::collection::vec(0u64..4000, 1..8)),
+            40..70,
+        ),
+        shards in 1usize..4,
+    ) {
+        let ops = decode_ops(raw);
+        let snap = tmp_path("merge-snap");
+        let wal_path = tmp_path("merge-wal");
+        let _guard = Cleanup(vec![snap.clone(), wal_path.clone()]);
+
+        let mut data: Vec<u64> = initial;
+        data.sort_unstable();
+        data.dedup();
+        ShardedWritable::new(data.clone(), shards, merging_cfg())
+            .save(&snap)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let ends = write_log(&wal_path, &ops);
+        let whole = ops.len() - 1;
+        let cut = ends[whole - 1] + (ends[whole] - ends[whole - 1]) / 2;
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&wal_path)
+            .and_then(|f| f.set_len(cut))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let mut oracle: BTreeSet<u64> = data.into_iter().collect();
+        for op in &ops[..whole] {
+            match op {
+                Op::One(k) => { oracle.insert(*k); }
+                Op::Many(ks) => oracle.extend(ks.iter().copied()),
+            }
+        }
+        let want: Vec<u64> = oracle.into_iter().collect();
+
+        let (first, report1) = ShardedWritable::recover_with_config(
+            &snap, &wal_path, WalSyncPolicy::PerRecord, merging_cfg(),
+        ).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(first.range_keys(0, u64::MAX), want.clone());
+        prop_assert_eq!(report1.replayed, whole);
+        prop_assert_eq!(report1.last_lsn, whole as u64);
+        prop_assert_eq!(report1.truncated_bytes, cut - ends[whole - 1]);
+        let m = first.metrics();
+        let merges = m.counter("li_buffer_merges_total").unwrap_or(0);
+        prop_assert!(merges > 0, "replay of {} keys never merged", want.len());
+        prop_assert_eq!(m.counter("li_trainings_total"), Some(merges));
+        let lens = first.shard_lens();
+        drop(first);
+
+        let (second, report2) = ShardedWritable::recover_with_config(
+            &snap, &wal_path, WalSyncPolicy::PerRecord, merging_cfg(),
+        ).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(second.range_keys(0, u64::MAX), want);
+        prop_assert_eq!(second.shard_lens(), lens);
+        prop_assert_eq!(report2.replayed, whole);
+        prop_assert_eq!(report2.truncated_bytes, 0);
     }
 
     /// Recovery is idempotent: a recovery that itself "crashes" (its
@@ -344,4 +420,65 @@ proptest! {
             "first recovery must have truncated the torn tail"
         );
     }
+}
+
+/// A log of several replay chunks (65,536 keys each) under a small
+/// `max_shard_len`: recovery equals the oracle, and rebalance pressure
+/// is still checked during replay, so the recovered structure has split
+/// beyond the snapshot's shard count.
+#[test]
+fn replay_over_several_chunks_still_splits_shards() {
+    let snap = tmp_path("chunks-snap");
+    let wal_path = tmp_path("chunks-wal");
+    let _guard = Cleanup(vec![snap.clone(), wal_path.clone()]);
+    let cfg = ShardedWritableConfig {
+        merge_threshold: 4096,
+        leaf_fraction: 1.0 / 64.0,
+        check_interval: 0,
+        rebalance: RebalanceConfig {
+            max_shard_len: 30_000,
+            merge_max_len: 0,
+            max_mean_err: None,
+            max_shards: 64,
+        },
+        ..ShardedWritableConfig::default()
+    };
+    let data: Vec<u64> = (0..2000u64).map(|i| i * 1_000_003).collect();
+    let sw = ShardedWritable::new(data.clone(), 2, cfg.clone());
+    sw.save(&snap).expect("save");
+    let saved_shards = sw.shard_count();
+    drop(sw);
+    // 200 batch records of 1000 keys interleaved with scalar records:
+    // 200,200 keys, a little over three chunks.
+    let mut ops = Vec::new();
+    for b in 0..200u64 {
+        ops.push(Op::Many(
+            (0..1000).map(|i| (b * 1000 + i) * 10_007 + 1).collect(),
+        ));
+        ops.push(Op::One(b * 9_999_991 + 2));
+    }
+    write_log(&wal_path, &ops);
+    let mut oracle: BTreeSet<u64> = data.into_iter().collect();
+    for op in &ops {
+        match op {
+            Op::One(k) => {
+                oracle.insert(*k);
+            }
+            Op::Many(ks) => oracle.extend(ks.iter().copied()),
+        }
+    }
+
+    let (rec, report) =
+        ShardedWritable::recover_with_config(&snap, &wal_path, WalSyncPolicy::PerRecord, cfg)
+            .expect("recover");
+    assert_eq!(report.replayed, ops.len());
+    assert_eq!(
+        rec.range_keys(0, u64::MAX),
+        oracle.into_iter().collect::<Vec<_>>()
+    );
+    assert!(
+        rec.shard_count() > saved_shards,
+        "replay never split: {} shards",
+        rec.shard_count()
+    );
 }
