@@ -31,38 +31,72 @@ use crate::rmi::{Rmi, RmiConfig};
 use crate::run::SortedRun;
 use li_index::{KeyStore, RangeIndex};
 
-/// Linear two-pointer merge of two sorted sequences into one sorted
-/// vector (stable: ties take the left side first).
-fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
+/// Galloping merge of sorted `a` and `b` into `out`, whose length is
+/// their total. Each key of the shorter side finds its place in the
+/// longer one by exponential search from the cursor, and the gap before
+/// it is block-copied, so merging a small buffer into a large base costs
+/// about one copy of the base.
+fn merge_two_into(out: &mut [u64], a: &[u64], b: &[u64]) {
+    debug_assert_eq!(out.len(), a.len() + b.len());
+    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+    let (mut at, mut o) = (0, 0);
+    for &k in short {
+        let gap = gallop(&long[at..], k);
+        out[o..o + gap].copy_from_slice(&long[at..at + gap]);
+        out[o + gap] = k;
+        at += gap;
+        o += gap + 1;
+    }
+    out[o..].copy_from_slice(&long[at..]);
+}
+
+/// How many leading keys of sorted `s` are below `k`, by exponential
+/// search from the front: O(log answer) comparisons.
+fn gallop(s: &[u64], k: u64) -> usize {
+    let mut bound = 1;
+    while bound <= s.len() && s[bound - 1] < k {
+        bound *= 2;
+    }
+    // `s[..bound / 2]` is below `k`; the answer is at most `bound - 1`.
+    let lo = bound / 2;
+    lo + s[lo..bound.min(s.len())].partition_point(|&x| x < k)
+}
+
+/// Merge sorted slices into `out`, whose length is their total. The
+/// largest slice is copied once, in gaps, while the others, merged
+/// first into a scratch vector, are galloped into it. The slice count
+/// is bounded by the run stack, so the recursion stays shallow.
+fn merge_into(out: &mut [u64], slices: &[&[u64]]) {
+    match slices {
+        [] => {}
+        [one] => out.copy_from_slice(one),
+        [a, b] => merge_two_into(out, a, b),
+        _ => {
+            let mut rest = slices.to_vec();
+            let big = (0..rest.len()).max_by_key(|&i| rest[i].len());
+            let big = rest.swap_remove(big.expect("at least three slices"));
+            merge_two_into(out, big, &merge_sorted(&rest));
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+}
+
+/// Merge sorted slices into one sorted vector.
+fn merge_sorted(slices: &[&[u64]]) -> Vec<u64> {
+    let mut out = vec![0; slices.iter().map(|s| s.len()).sum()];
+    merge_into(&mut out, slices);
     out
 }
 
-/// Fold-merge of many sorted disjoint slices into one sorted vector.
-/// The slice count is bounded by the run stack (small), so a fold of
-/// two-way merges is within a constant of a heap-based k-way merge.
-fn merge_many(slices: &[&[u64]]) -> Vec<u64> {
-    let mut acc: Vec<u64> = Vec::new();
-    for s in slices {
-        if acc.is_empty() {
-            acc = s.to_vec();
-        } else if !s.is_empty() {
-            acc = merge_sorted(&acc, s);
-        }
-    }
-    acc
+/// Merge sorted slices straight into the exact-size shared allocation a
+/// [`KeyStore`] wraps: one copy, with no intermediate `Vec`.
+fn merge_shared(slices: &[&[u64]]) -> KeyStore {
+    let len = slices.iter().map(|s| s.len()).sum();
+    let mut out: Arc<[u64]> = std::iter::repeat_n(0, len).collect();
+    merge_into(
+        Arc::get_mut(&mut out).expect("a fresh allocation is unshared"),
+        slices,
+    );
+    KeyStore::from(out)
 }
 
 /// An updatable learned index: RMI base + sorted delta buffer, plus (in
@@ -272,7 +306,7 @@ impl DeltaIndex {
             }
         }
         if !fresh.is_empty() {
-            self.delta = merge_sorted(&self.delta, &fresh);
+            self.delta = merge_sorted(&[&self.delta, &fresh]);
             if self.delta.len() >= self.merge_threshold {
                 self.overflow();
             }
@@ -502,7 +536,7 @@ impl DeltaIndex {
         if self.delta.is_empty() && self.runs.is_empty() {
             return;
         }
-        let merged = self.export_keys();
+        let merged = merge_shared(&self.tier_slices());
         // All tiers must be mutually disjoint (the insert-path duplicate
         // probe checks upper tiers first — see `insert`); any overlap
         // would double-count in `len`/`rank` and show up here as an
@@ -536,13 +570,16 @@ impl DeltaIndex {
     /// splits and gives half its keys to a sibling, or when two cold
     /// shards merge.
     pub fn export_keys(&self) -> Vec<u64> {
+        merge_sorted(&self.tier_slices())
+    }
+
+    /// The key slices of every tier: base, runs oldest first, buffer.
+    fn tier_slices(&self) -> Vec<&[u64]> {
         let mut slices: Vec<&[u64]> = Vec::with_capacity(self.runs.len() + 2);
         slices.push(self.base.data());
-        for r in &self.runs {
-            slices.push(r.as_slice());
-        }
+        slices.extend(self.runs.iter().map(|r| r.as_slice()));
         slices.push(&self.delta);
-        merge_many(&slices)
+        slices
     }
 
     /// Split the full merged keyset at `pivot`: `(keys < pivot,
@@ -639,7 +676,7 @@ impl DeltaIndex {
                 slices.push(r);
             }
             slices.push(&pending);
-            let merged = merge_many(&slices);
+            let merged = merge_sorted(&slices);
             assert!(
                 merged.windows(2).all(|w| w[0] < w[1]),
                 "tiers must be mutually disjoint"
@@ -740,16 +777,14 @@ impl DeltaSnapshot {
 
     /// The keys a compaction of this snapshot would fold into the new
     /// base: base keys plus every captured run, merged sorted unique
-    /// (the pending buffer stays live and is excluded). This is what a
-    /// serving layer re-runs backend selection over before deciding how
-    /// to train the compacted base.
-    pub fn merged_keys(&self) -> Vec<u64> {
+    /// into one fresh key array (the pending buffer stays live and is
+    /// excluded). This is what a serving layer re-runs backend
+    /// selection over before deciding how to train the compacted base.
+    pub fn merged_keys(&self) -> KeyStore {
         let mut slices: Vec<&[u64]> = Vec::with_capacity(self.runs.len() + 1);
         slices.push(self.base.data());
-        for r in &self.runs {
-            slices.push(r.as_slice());
-        }
-        merge_many(&slices)
+        slices.extend(self.runs.iter().map(|r| r.as_slice()));
+        merge_shared(&slices)
     }
 
     /// Train the compacted base this snapshot implies: base keys plus
@@ -762,12 +797,7 @@ impl DeltaSnapshot {
         if self.runs.is_empty() {
             return None;
         }
-        let mut slices: Vec<&[u64]> = Vec::with_capacity(self.runs.len() + 1);
-        slices.push(self.base.data());
-        for r in &self.runs {
-            slices.push(r.as_slice());
-        }
-        let merged = merge_many(&slices);
+        let merged = self.merged_keys();
         debug_assert!(
             merged.windows(2).all(|w| w[0] < w[1]),
             "tiers must be mutually disjoint"
@@ -787,7 +817,7 @@ fn range_keys_of(base: &Rmi, runs: &[Arc<SortedRun>], delta: &[u64], lo: u64, hi
         slices.push(r.range(lo, hi));
     }
     slices.push(&delta[d_lo..d_hi]);
-    merge_many(&slices)
+    merge_sorted(&slices)
 }
 
 #[cfg(test)]
@@ -1324,6 +1354,135 @@ mod tests {
             assert!(idx.contains(k), "key {k}");
         }
         assert_eq!(idx.rank(u64::MAX), 108);
+    }
+
+    // ------------------------------------------------------------------
+    // Merge kernel.
+    // ------------------------------------------------------------------
+
+    /// The merge the galloping kernel must equal: every slice's keys,
+    /// sorted.
+    fn reference_merge(slices: &[&[u64]]) -> Vec<u64> {
+        let mut all: Vec<u64> = slices.concat();
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn merge_kernel_handles_every_edge() {
+        let base: Vec<u64> = (1..=1000u64).map(|i| 10 * i).collect();
+        let every_gap: Vec<u64> = base.iter().map(|k| k + 1).collect();
+        let max_end = vec![u64::MAX - 2, u64::MAX - 1, u64::MAX];
+        let cases: Vec<(&str, Vec<u64>, Vec<u64>)> = vec![
+            ("before the first key", base.clone(), vec![0, 1, 9]),
+            ("after the last key", base.clone(), vec![10_001, u64::MAX]),
+            ("both ends", base.clone(), vec![3, 20_000]),
+            (
+                "adjacent buffered keys",
+                base.clone(),
+                vec![501, 502, 503, 504],
+            ),
+            ("empty buffer", base.clone(), vec![]),
+            ("empty base", vec![], vec![4, 8, u64::MAX]),
+            ("both empty", vec![], vec![]),
+            (
+                "u64::MAX in the base",
+                max_end.clone(),
+                vec![0, u64::MAX - 3],
+            ),
+            ("buffer as large as the base", base.clone(), every_gap),
+            ("duplicates across sides", vec![1, 2, 2, 3], vec![2, 2, 4]),
+        ];
+        for (what, a, b) in cases {
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let want = reference_merge(&[x, y]);
+                assert_eq!(merge_sorted(&[x, y]), want, "{what}");
+                assert_eq!(merge_shared(&[x, y]).as_slice(), want, "{what}, shared");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_kernel_folds_many_slices() {
+        let base: Vec<u64> = (0..5_000u64).map(|i| 7 * i).collect();
+        let runs: Vec<Vec<u64>> = (1..6u64)
+            .map(|r| (0..200u64).map(|i| 35 * i + r).collect())
+            .collect();
+        let mut slices: Vec<&[u64]> = vec![&base];
+        slices.extend(runs.iter().map(Vec::as_slice));
+        slices.push(&[]);
+        slices.push(&[u64::MAX]);
+        let want = reference_merge(&slices);
+        assert_eq!(merge_sorted(&slices), want);
+        // The largest slice need not come first.
+        slices.rotate_left(3);
+        assert_eq!(merge_shared(&slices).as_slice(), want);
+        assert!(merge_sorted(&[]).is_empty());
+        assert_eq!(merge_sorted(&[&base]), base);
+    }
+
+    #[test]
+    fn gallop_counts_the_keys_below() {
+        let s: Vec<u64> = (0..100u64).map(|i| 2 * i).collect();
+        for k in 0..=201u64 {
+            assert_eq!(gallop(&s, k), s.partition_point(|&x| x < k), "k={k}");
+        }
+        assert_eq!(gallop(&[], 5), 0);
+        assert_eq!(gallop(&[u64::MAX], u64::MAX), 0);
+    }
+
+    /// A merged index and a fresh build over its exported keys are one
+    /// and the same model: the merge hands `Rmi::build` the same keys.
+    #[test]
+    fn merged_index_equals_a_fresh_build_over_its_keys() {
+        let base = li_data::Dataset::Lognormal
+            .generate(30_000, 5)
+            .keys()
+            .to_vec();
+        let mut idx = DeltaIndex::new(base.clone(), cfg(), 1 << 20);
+        let mut inserts: Vec<u64> = vec![0, 1, base[0] + 1, u64::MAX, u64::MAX - 1];
+        inserts.extend(base.iter().step_by(29).map(|k| k + 1));
+        for &k in &inserts {
+            idx.insert(k);
+        }
+        let keys = idx.export_keys();
+        idx.merge();
+        assert_eq!(idx.pending(), 0);
+        assert_eq!(idx.export_keys(), keys);
+        let fresh = Rmi::build(keys.clone(), &cfg());
+        let merged = idx.snapshot();
+        assert_eq!(merged.base_index().to_params(), fresh.to_params());
+        let mut probes = vec![0, u64::MAX];
+        probes.extend(
+            keys.iter()
+                .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]),
+        );
+        for q in probes {
+            assert_eq!(idx.rank(q), fresh.lower_bound(q), "q={q}");
+            assert_eq!(idx.contains(q), fresh.lookup(q).is_some(), "q={q}");
+        }
+    }
+
+    /// Compaction over several runs keeps exactly the keys a fold of
+    /// two-way merges gives.
+    #[test]
+    fn compaction_over_several_runs_keeps_the_folded_keys() {
+        let base: Vec<u64> = (0..10_000u64).map(|i| 100 * i).collect();
+        let mut idx = DeltaIndex::new(base.clone(), cfg(), 64).with_tiering(8);
+        for i in 0..(5 * 64 + 17) as u64 {
+            idx.insert((i * 7919) % 1_000_000 + 1);
+        }
+        assert!(idx.run_count() >= 5, "runs {}", idx.run_count());
+        let cut = idx.snapshot();
+        let mut folded = base;
+        for run in cut.runs() {
+            folded = reference_merge(&[&folded, run.as_slice()]);
+        }
+        assert_eq!(cut.merged_keys().as_slice(), folded);
+        let pending = cut.delta_keys().to_vec();
+        assert_eq!(idx.compact(), cut.runs().len());
+        assert_eq!(idx.pending(), pending.len());
+        assert_eq!(idx.export_keys(), reference_merge(&[&folded, &pending]));
     }
 
     #[test]

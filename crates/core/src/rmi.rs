@@ -11,14 +11,17 @@
 //! step is a streaming pass over the sorted keys:
 //!
 //! 1. train the stage-0 model on all `(key, position)` pairs;
-//! 2. route every key once through the *trained* prefix of stages —
+//! 2. route the keys through the *trained* prefix of stages —
 //!    `model = ⌊M · f(x) / N⌋` — cutting the key array into **runs**:
 //!    maximal ranges of consecutive keys that pick the same model. A
-//!    linear cascade routes sorted keys monotonically, so each model
-//!    gets at most one run; a non-monotone router (an MLP top, a
-//!    three-stage cascade) only gives a model more runs;
+//!    linear top with no inner stage routes sorted keys monotonically,
+//!    so each model gets at most one run, and each run's end is found
+//!    by galloping from its start; a non-monotone router (an MLP top, a
+//!    three-stage cascade) routes every key once and may give a model
+//!    more runs;
 //! 3. train each next-stage model on the key slices of its runs — no
-//!    key is copied into a per-model bucket;
+//!    key is copied into a per-model bucket, and the least-squares sums
+//!    run in independent lanes over each slice;
 //! 4. at the last stage, record each model's min-, max- and standard
 //!    error over the same runs, and (hybrid mode) replace any model
 //!    whose absolute error exceeds `threshold` with a B-Tree over its
@@ -33,6 +36,7 @@
 use crate::search::{search_with_widening, SearchStrategy};
 use li_btree::BTreeIndex;
 use li_index::{KeyStore, Prediction, RangeIndex};
+use li_models::linear::FIT_LANES;
 use li_models::{FeatureMap, LinearModel, Mlp, MlpConfig, Model, MultivariateLinear};
 use std::cell::Cell;
 use std::ops::Range;
@@ -63,9 +67,7 @@ impl TopModel {
     fn fit(&self, keys: &[u64]) -> TrainedTop {
         let as_f64 = || keys.iter().map(|&k| k as f64).collect::<Vec<f64>>();
         match *self {
-            TopModel::Linear => TrainedTop::Linear(LinearModel::fit(
-                keys.iter().enumerate().map(|(i, &k)| (k as f64, i as f64)),
-            )),
+            TopModel::Linear => TrainedTop::Linear(LinearModel::fit_positions([(0, keys)])),
             TopModel::Multivariate(fm) => {
                 TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_keys(fm, &as_f64())))
             }
@@ -387,6 +389,20 @@ impl LookupPlan {
         });
     }
 
+    /// Whether [`LookupPlan::leaf`] is provably monotone over sorted
+    /// keys: a linear top whose scaled slope is finite and positive,
+    /// and no inner stage. Float multiply, add and the saturating cast
+    /// all round monotonically, so a larger key never picks a smaller
+    /// model. A zero slope (at most one distinct key) routes every key
+    /// to one model, so scanning it costs as little.
+    fn routes_monotonically(&self) -> bool {
+        let slope = self.top_hop.slope;
+        matches!(self.top, TrainedTop::Linear(_))
+            && self.mids.is_empty()
+            && slope.is_finite()
+            && slope > 0.0
+    }
+
     /// Route `x` through the cascade (Algorithm 1 line 9 at every
     /// stage): the index of its model in the stage after the last one
     /// pushed, which is its leaf once the plan is complete.
@@ -435,8 +451,10 @@ fn leaf_position(slope: f64, intercept: f64, x: f64, n: usize) -> usize {
 /// The keys of one stage's training set, split by the model each routes
 /// to: a run is a maximal range of consecutive key positions that pick
 /// the same model. Routing is monotone over sorted keys for a linear
-/// cascade, so each model then gets at most one run; a non-monotone
-/// router (an MLP top, a deeper cascade) just gives a model more.
+/// top with no inner stage, so each model then gets at most one run; a
+/// non-monotone router (an MLP top, a deeper cascade) just gives a
+/// model more.
+#[derive(Debug, PartialEq)]
 struct Runs {
     /// Every run, grouped by model and in key order within a model.
     runs: Vec<Range<usize>>,
@@ -445,9 +463,20 @@ struct Runs {
 }
 
 impl Runs {
-    /// Route every key once through `plan`, whose picks index a next
-    /// stage of `m` models.
+    /// Split `keys` by the model `plan` routes each to, in a next stage
+    /// of `m` models. A monotone plan is galloped: each run's end is
+    /// found by exponential search from its start, O(log run length)
+    /// routings per run. Any other plan routes every key once.
     fn route(plan: &LookupPlan, keys: &[u64], m: usize) -> Self {
+        if plan.routes_monotonically() {
+            Self::by_model(gallop_runs(plan, keys), m)
+        } else {
+            Self::scan(plan, keys, m)
+        }
+    }
+
+    /// Route every key once through `plan`.
+    fn scan(plan: &LookupPlan, keys: &[u64], m: usize) -> Self {
         // Runs in key order, each tagged with its model.
         let mut found: Vec<(usize, Range<usize>)> = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
@@ -457,8 +486,12 @@ impl Runs {
                 _ => found.push((p, i..i + 1)),
             }
         }
-        // Counting sort by model: stable, so each model's runs stay in
-        // key order.
+        Self::by_model(found, m)
+    }
+
+    /// Group runs found in key order by model, with a counting sort:
+    /// stable, so each model's runs stay in key order.
+    fn by_model(found: Vec<(usize, Range<usize>)>, m: usize) -> Self {
         let mut starts = vec![0usize; m + 1];
         for (p, _) in &found {
             starts[p + 1] += 1;
@@ -481,14 +514,108 @@ impl Runs {
     }
 }
 
-/// The `(key, position)` training pairs of `runs`.
-fn points<'a>(keys: &'a [u64], runs: &'a [Range<usize>]) -> impl Iterator<Item = (f64, f64)> + 'a {
-    runs.iter().flat_map(move |run| {
-        keys[run.clone()]
-            .iter()
-            .zip(run.clone())
-            .map(|(&k, i)| (k as f64, i as f64))
-    })
+/// The runs of `keys` under a monotone `plan`, in key order, each
+/// tagged with its model: from each run's first key, probe 1, 2, 4, …
+/// keys ahead until a probe routes elsewhere, then binary-search the
+/// last gap for the run's end.
+fn gallop_runs(plan: &LookupPlan, keys: &[u64]) -> Vec<(usize, Range<usize>)> {
+    let mut found = Vec::new();
+    let mut start = 0;
+    while start < keys.len() {
+        let p = plan.leaf(keys[start] as f64);
+        let same = |&k: &u64| plan.leaf(k as f64) == p;
+        // Every key in `start..lo` routes to `p`; the run ends by `hi`.
+        let (mut lo, mut step) = (start + 1, 1);
+        let hi = loop {
+            let probe = start + step;
+            if probe >= keys.len() {
+                break keys.len();
+            }
+            if !same(&keys[probe]) {
+                break probe;
+            }
+            lo = probe + 1;
+            step *= 2;
+        };
+        let end = lo + keys[lo..hi].partition_point(same);
+        found.push((p, start..end));
+        start = end;
+    }
+    found
+}
+
+/// The key slices of `runs`, each with the position of its first key.
+fn run_slices<'a>(
+    keys: &'a [u64],
+    runs: &'a [Range<usize>],
+) -> impl Iterator<Item = (usize, &'a [u64])> + 'a {
+    runs.iter().map(move |run| (run.start, &keys[run.clone()]))
+}
+
+/// A linear leaf's error envelope over its runs: the exact smallest and
+/// largest `position - prediction` and the sum of squared errors. The
+/// extremes and the sum run in [`FIT_LANES`] independent lanes, like
+/// the fit's sums, and in f64: every position and error is an integer
+/// far below 2⁵³, so each is exact, and no lane waits on a float-to-int
+/// conversion.
+fn envelope(
+    keys: &[u64],
+    runs: &[Range<usize>],
+    slope: f64,
+    intercept: f64,
+    n: usize,
+) -> (i64, i64, f64) {
+    let last = (n - 1) as f64;
+    let mut min_err = [f64::INFINITY; FIT_LANES];
+    let mut max_err = [f64::NEG_INFINITY; FIT_LANES];
+    let mut sum_sq = [0.0f64; FIT_LANES];
+    for (first, slice) in run_slices(keys, runs) {
+        let mut y: [f64; FIT_LANES] = std::array::from_fn(|l| (first + l) as f64);
+        let mut add = |l: usize, k: u64| {
+            let e = y[l] - leaf_position_f64(slope, intercept, k as f64, last);
+            if e < min_err[l] {
+                min_err[l] = e;
+            }
+            if e > max_err[l] {
+                max_err[l] = e;
+            }
+            sum_sq[l] += e * e;
+            y[l] += FIT_LANES as f64;
+        };
+        let chunks = slice.chunks_exact(FIT_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (l, &k) in chunk.iter().enumerate() {
+                add(l, k);
+            }
+        }
+        for (l, &k) in tail.iter().enumerate() {
+            add(l, k);
+        }
+    }
+    (
+        min_err.into_iter().fold(f64::INFINITY, f64::min) as i64,
+        max_err.into_iter().fold(f64::NEG_INFINITY, f64::max) as i64,
+        sum_sq.iter().sum(),
+    )
+}
+
+/// [`leaf_position`] as an f64, with `last = n - 1`: the same integer,
+/// computed without a float-to-int conversion.
+#[inline(always)]
+fn leaf_position_f64(slope: f64, intercept: f64, x: f64, last: f64) -> f64 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    // Negative and NaN predictions give 0, as the saturating cast does.
+    let p = (slope * x + intercept).max(0.0).min(last);
+    // Below 2⁵², adding and removing 2⁵² rounds `p` to the nearest
+    // integer; step down where that rounded up, to truncate as the cast
+    // does.
+    let r = (p + TWO_52) - TWO_52;
+    if r > p {
+        r - 1.0
+    } else {
+        r
+    }
 }
 
 /// `e` clamped into the `i32` range.
@@ -539,7 +666,7 @@ impl Rmi {
             let runs = Runs::route(&plan, keys, stages[s]);
             let stage: Vec<(f64, f64)> = (0..stages[s])
                 .map(|j| {
-                    let m = LinearModel::fit(points(keys, runs.of(j)));
+                    let m = LinearModel::fit_positions(run_slices(keys, runs.of(j)));
                     (m.slope(), m.intercept())
                 })
                 .collect();
@@ -572,17 +699,9 @@ impl Rmi {
                 };
                 let (first, last) = (first.start, last.end - 1);
                 boundary = last + 1;
-                let m = LinearModel::fit(points(keys, runs));
+                let m = LinearModel::fit_positions(run_slices(keys, runs));
                 let (slope, intercept) = (m.slope(), m.intercept());
-                let mut min_err = i64::MAX;
-                let mut max_err = i64::MIN;
-                let mut sum_sq = 0.0f64;
-                for (x, y) in points(keys, runs) {
-                    let e = y as i64 - leaf_position(slope, intercept, x, n) as i64;
-                    min_err = min_err.min(e);
-                    max_err = max_err.max(e);
-                    sum_sq += (e as f64) * (e as f64);
-                }
+                let (min_err, max_err, sum_sq) = envelope(keys, runs, slope, intercept, n);
                 let count: usize = runs.iter().map(ExactSizeIterator::len).sum();
                 // Hybrid replacement (lines 13-14). The leaf B-Tree
                 // indexes a zero-copy slice view of the shared key array.
@@ -1262,6 +1381,125 @@ mod tests {
                 rmi.name()
             );
             assert_stored_keys_inside_windows(keys, cfg, &rmi.name());
+        }
+    }
+
+    /// Key sets for the routing tests: lognormal, every gauntlet
+    /// family, clusters with outliers, keys within 2^11 of `u64::MAX`
+    /// (alone, where they all convert to one f64, and above lognormal
+    /// keys) and the smallest sets.
+    fn routing_cases() -> Vec<(String, Vec<u64>)> {
+        let lognormal = li_data::Dataset::Lognormal
+            .generate(50_000, 7)
+            .keys()
+            .to_vec();
+        let near_max: Vec<u64> = (0..2048u64).map(|i| u64::MAX - 2047 + i).collect();
+        let mut cases = vec![("lognormal".to_string(), lognormal.clone())];
+        for family in li_data::Gauntlet::ALL {
+            let mut keys = family.generate(20_000, 11);
+            keys.dedup();
+            cases.push((family.name().to_string(), keys));
+        }
+        let cluster: Vec<u64> = (0..5_000u64).map(|i| (1 << 40) + 3 * i).collect();
+        let mut outliers = vec![1, 2, 1 << 20];
+        outliers.extend(&cluster);
+        outliers.extend([1 << 50, 1 << 62, u64::MAX]);
+        cases.push(("cluster with outliers".into(), outliers));
+        let mut split = cluster.clone();
+        split.extend(cluster.iter().map(|k| k + (1 << 60)));
+        cases.push(("two far clusters".into(), split));
+        cases.push(("near u64::MAX".into(), near_max.clone()));
+        let mut below = lognormal[..10_000].to_vec();
+        below.extend(&near_max);
+        cases.push(("lognormal then near u64::MAX".into(), below));
+        for small in [vec![], vec![42], vec![0, u64::MAX], vec![5, 6, 1 << 63]] {
+            cases.push((format!("n = {}", small.len()), small));
+        }
+        cases
+    }
+
+    #[test]
+    fn galloping_runs_equal_the_per_key_scan() {
+        let mut galloped = 0;
+        for (what, keys) in routing_cases() {
+            let n = keys.len();
+            for m in [1, 7, 256, n.max(1), 2 * n + 1] {
+                let plan = LookupPlan::new(TopModel::Linear.fit(&keys), m, n);
+                galloped += usize::from(plan.routes_monotonically());
+                assert_eq!(
+                    Runs::route(&plan, &keys, m),
+                    Runs::scan(&plan, &keys, m),
+                    "{what}, {m} models"
+                );
+            }
+        }
+        assert!(galloped > 40, "only {galloped} plans galloped");
+    }
+
+    #[test]
+    fn plans_not_provably_monotone_are_scanned() {
+        let keys = li_data::Dataset::Lognormal
+            .generate(5_000, 3)
+            .keys()
+            .to_vec();
+        let n = keys.len();
+        let odd_tops = [
+            (0.0, 3.0),
+            (-0.0, 3.0),
+            (-1e-3, 1e9),
+            (f64::NAN, 0.0),
+            (f64::INFINITY, 0.0),
+            (f64::NEG_INFINITY, 1e12),
+            (f64::MAX, 0.0), // finite, but the scaled slope overflows
+        ];
+        // Twice as many models as keys: the hop scale is 2.
+        let m = 2 * n;
+        for (slope, intercept) in odd_tops {
+            let top = TrainedTop::Linear(LinearModel::new(slope, intercept));
+            let plan = LookupPlan::new(top, m, n);
+            assert!(!plan.routes_monotonically(), "slope {slope}");
+            assert_eq!(Runs::route(&plan, &keys, m), Runs::scan(&plan, &keys, m));
+        }
+        let two_stage = Rmi::build(keys.clone(), &RmiConfig::two_stage(TopModel::Linear, 64));
+        assert!(two_stage.plan.routes_monotonically());
+        for (_, cfg) in several_run_cases() {
+            let rmi = Rmi::build(keys.clone(), &cfg);
+            assert!(!rmi.plan.routes_monotonically(), "{}", rmi.name());
+        }
+    }
+
+    #[test]
+    fn leaf_position_in_f64_equals_the_saturating_cast() {
+        let n = 1_000_001usize;
+        let preds = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -0.5,
+            -0.0,
+            0.0,
+            0.49,
+            0.5,
+            0.999_999_999,
+            1.0,
+            1.5,
+            2.5,
+            123_456.5,
+            999_999.0,
+            999_999.999,
+            1_000_000.0,
+            1_000_000.5,
+            1e18,
+            f64::INFINITY,
+        ];
+        for p in preds {
+            for x in [0.0, 1.0, 7.0] {
+                // slope 1 and intercept p - x: the prediction is p.
+                let (slope, intercept) = (1.0, p - x);
+                let want = leaf_position(slope, intercept, x, n) as f64;
+                let got = leaf_position_f64(slope, intercept, x, (n - 1) as f64);
+                assert_eq!(got.to_bits(), want.to_bits(), "prediction {p} at x={x}");
+            }
         }
     }
 

@@ -68,7 +68,7 @@ impl SortedRun {
             keys.windows(2).all(|w| w[0] < w[1]),
             "a run must be sorted unique"
         );
-        let model = LinearModel::fit(keys.iter().enumerate().map(|(i, &k)| (k as f64, i as f64)));
+        let model = LinearModel::fit_positions([(0, &keys[..])]);
         let mut max_err = 0usize;
         for (i, &k) in keys.iter().enumerate() {
             let pred = clamp_pred(model.predict(k as f64), keys.len());

@@ -10,6 +10,42 @@
 
 use crate::Model;
 
+/// Independent accumulator lanes in [`LinearModel::fit_positions`].
+pub const FIT_LANES: usize = 4;
+
+/// Least-squares sums over points shifted by a first point `(x0, y0)`:
+/// the count, Σdx, Σdy, Σdx² and Σdx·dy.
+#[derive(Default)]
+struct Sums {
+    n: f64,
+    sx: f64,
+    sy: f64,
+    sxx: f64,
+    sxy: f64,
+}
+
+impl Sums {
+    /// The least-squares line over at least one point, solved once
+    /// from the sums: a constant (the mean of y) when the x-variance is
+    /// zero or the fit is not finite.
+    fn solve(&self, x0: f64, y0: f64) -> LinearModel {
+        let (mean_dx, mean_dy) = (self.sx / self.n, self.sy / self.n);
+        let mean_y = y0 + mean_dy;
+        // Σ (x - mean_x)² and Σ (x - mean_x)(y - mean_y).
+        let var_x = self.sxx - self.sx * mean_dx;
+        let cov_xy = self.sxy - self.sx * mean_dy;
+        if var_x <= 0.0 || !var_x.is_finite() {
+            return LinearModel::constant(mean_y);
+        }
+        let slope = cov_xy / var_x;
+        let intercept = mean_y - slope * (x0 + mean_dx);
+        if !slope.is_finite() || !intercept.is_finite() {
+            return LinearModel::constant(mean_y);
+        }
+        LinearModel { slope, intercept }
+    }
+}
+
 /// `y = slope · x + intercept`, fitted by least squares.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearModel {
@@ -43,29 +79,73 @@ impl LinearModel {
         // Sums of offsets from the first point: shifting keeps them
         // small for huge key magnitudes (keys can be as large as 2⁶⁴),
         // and the loop needs no division, only independent adds.
-        let (mut n, mut sx, mut sy, mut sxx, mut sxy) = (1.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        let mut sums = Sums {
+            n: 1.0,
+            ..Sums::default()
+        };
         for (x, y) in pairs {
             let (dx, dy) = (x - x0, y - y0);
-            n += 1.0;
-            sx += dx;
-            sy += dy;
-            sxx += dx * dx;
-            sxy += dx * dy;
+            sums.n += 1.0;
+            sums.sx += dx;
+            sums.sy += dy;
+            sums.sxx += dx * dx;
+            sums.sxy += dx * dy;
         }
-        let (mean_dx, mean_dy) = (sx / n, sy / n);
-        let mean_y = y0 + mean_dy;
-        // Σ (x - mean_x)² and Σ (x - mean_x)(y - mean_y).
-        let var_x = sxx - sx * mean_dx;
-        let cov_xy = sxy - sx * mean_dy;
-        if var_x <= 0.0 || !var_x.is_finite() {
-            return Self::constant(mean_y);
+        sums.solve(x0, y0)
+    }
+
+    /// Fit `key → position` by OLS over sorted key slices, each given
+    /// with the position of its first key — an RMI model trained over
+    /// its runs of keys, or a whole sorted array at position 0. Empty
+    /// slices are skipped, and the degenerate cases are those of
+    /// [`LinearModel::fit`].
+    ///
+    /// The same shifted sums as [`LinearModel::fit`], over the same
+    /// points, taken in a different order: Σdx, Σdx² and Σdx·dy run in
+    /// [`FIT_LANES`] independent lanes, so consecutive adds do not wait
+    /// on one another, and the point count and Σdy come in closed form
+    /// per slice.
+    pub fn fit_positions<'a>(runs: impl IntoIterator<Item = (usize, &'a [u64])>) -> Self {
+        let mut runs = runs
+            .into_iter()
+            .filter(|(_, keys)| !keys.is_empty())
+            .peekable();
+        let Some(&(first, keys)) = runs.peek() else {
+            return Self::constant(0.0);
+        };
+        let (x0, y0) = (keys[0] as f64, first as f64);
+        let mut sums = Sums::default();
+        let mut sx = [0.0f64; FIT_LANES];
+        let mut sxx = [0.0f64; FIT_LANES];
+        let mut sxy = [0.0f64; FIT_LANES];
+        for (first, keys) in runs {
+            // Positions are integers below 2⁵³, so every dy is exact.
+            let (len, off) = (keys.len() as f64, first as f64 - y0);
+            sums.n += len;
+            sums.sy += len * off + len * (len - 1.0) / 2.0;
+            let mut dy: [f64; FIT_LANES] = std::array::from_fn(|l| off + l as f64);
+            let mut add = |l: usize, k: u64| {
+                let dx = k as f64 - x0;
+                sx[l] += dx;
+                sxx[l] += dx * dx;
+                sxy[l] += dx * dy[l];
+                dy[l] += FIT_LANES as f64;
+            };
+            let chunks = keys.chunks_exact(FIT_LANES);
+            let tail = chunks.remainder();
+            for chunk in chunks {
+                for (l, &k) in chunk.iter().enumerate() {
+                    add(l, k);
+                }
+            }
+            for (l, &k) in tail.iter().enumerate() {
+                add(l, k);
+            }
         }
-        let slope = cov_xy / var_x;
-        let intercept = mean_y - slope * (x0 + mean_dx);
-        if !slope.is_finite() || !intercept.is_finite() {
-            return Self::constant(mean_y);
-        }
-        Self { slope, intercept }
+        sums.sx = sx.iter().sum();
+        sums.sxx = sxx.iter().sum();
+        sums.sxy = sxy.iter().sum();
+        sums.solve(x0, y0)
     }
 
     /// Fit over a sorted key slice where `y` is the index: the exact
@@ -171,26 +251,39 @@ mod tests {
         (slope, mean_dx, mean_y)
     }
 
-    /// `fit_keys` predicts what the two-pass line predicts at every
-    /// key, up to the rounding of evaluating `slope · x + intercept`
-    /// in f64 at that key's magnitude.
+    /// `fit_keys` and `fit_positions` (over the whole slice, and over
+    /// it cut into three runs of uneven length) predict what the
+    /// two-pass line predicts at every key, up to the rounding of
+    /// evaluating `slope · x + intercept` in f64 at that key's
+    /// magnitude.
     fn assert_matches_two_pass(keys: &[u64], what: &str) {
         let xs: Vec<f64> = keys.iter().map(|&k| k as f64).collect();
-        let m = LinearModel::fit_keys(&xs);
+        let (a, b) = (keys.len() / 3 + 1, 2 * keys.len() / 3 + 2);
+        let fits = [
+            ("fit_keys", LinearModel::fit_keys(&xs)),
+            ("fit_positions", LinearModel::fit_positions([(0, keys)])),
+            (
+                "fit_positions over runs",
+                LinearModel::fit_positions([(0, &keys[..a]), (a, &keys[a..b]), (b, &keys[b..])]),
+            ),
+        ];
         let (slope, mean_dx, mean_y) = two_pass(keys);
-        assert!(
-            (m.slope() - slope).abs() <= 1e-9 * slope.abs(),
-            "{what}: slope {} vs two-pass {slope}",
-            m.slope()
-        );
-        for (&k, &x) in keys.iter().zip(&xs) {
-            let want = mean_y + slope * ((i128::from(k) - i128::from(keys[0])) as f64 - mean_dx);
-            let got = m.predict(x);
-            let rounding = 4.0 * f64::EPSILON * ((m.slope() * x).abs() + m.intercept().abs());
+        for (how, m) in fits {
             assert!(
-                (got - want).abs() <= 1e-6 + rounding,
-                "{what}: at key {k} fit {got} vs two-pass {want}"
+                (m.slope() - slope).abs() <= 1e-9 * slope.abs(),
+                "{what}, {how}: slope {} vs two-pass {slope}",
+                m.slope()
             );
+            for (&k, &x) in keys.iter().zip(&xs) {
+                let want =
+                    mean_y + slope * ((i128::from(k) - i128::from(keys[0])) as f64 - mean_dx);
+                let got = m.predict(x);
+                let rounding = 4.0 * f64::EPSILON * ((m.slope() * x).abs() + m.intercept().abs());
+                assert!(
+                    (got - want).abs() <= 1e-6 + rounding,
+                    "{what}, {how}: at key {k} fit {got} vs two-pass {want}"
+                );
+            }
         }
     }
 
@@ -227,6 +320,29 @@ mod tests {
         let mut cluster: Vec<u64> = (0..1000).map(|i| (1 << 60) + 768 * i).collect();
         cluster.insert(0, 7);
         assert_matches_two_pass(&cluster, "outlier first");
+    }
+
+    #[test]
+    fn position_fits_of_degenerate_inputs() {
+        assert_eq!(LinearModel::fit_positions([]), LinearModel::constant(0.0));
+        assert_eq!(
+            LinearModel::fit_positions([(3, &[][..]), (3, &[][..])]),
+            LinearModel::constant(0.0)
+        );
+        assert_eq!(
+            LinearModel::fit_positions([(7, &[42u64][..])]),
+            LinearModel::constant(7.0)
+        );
+        // All keys equal: the mean position, as `fit` gives.
+        let same = [9u64 << 60; 10];
+        let m = LinearModel::fit_positions([(5, &same[..])]);
+        assert_eq!(m.slope(), 0.0);
+        assert_eq!(m.intercept(), 9.5);
+        // Runs whose positions leave gaps fit the points they name.
+        let m = LinearModel::fit_positions([(0, &[10u64, 20][..]), (10, &[110u64, 120][..])]);
+        for (k, y) in [(10.0, 0.0), (20.0, 1.0), (110.0, 10.0), (120.0, 11.0)] {
+            assert!((m.predict(k) - y).abs() < 1e-9, "{m:?} at {k}");
+        }
     }
 
     #[test]

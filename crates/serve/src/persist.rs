@@ -642,6 +642,15 @@ fn decode_page_size(dec: &mut Dec<'_>) -> Result<usize, PersistError> {
     Ok(page_size)
 }
 
+/// A typed error unless `keys` is sorted (equal neighbours allowed).
+fn check_sorted(keys: &[u64], what: &str) -> Result<(), PersistError> {
+    if keys.is_sorted() {
+        Ok(())
+    } else {
+        Err(format_err(format!("{what} must be sorted")))
+    }
+}
+
 fn check_sorted_unique(keys: &[u64], what: &str) -> Result<(), PersistError> {
     if keys.windows(2).all(|w| w[0] < w[1]) {
         Ok(())
@@ -728,7 +737,10 @@ impl ShardedIndex {
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
         let (region, n_keys, manifest, _lsn) = open_verified(path.as_ref(), KIND_SHARDED_INDEX)?;
         let store = KeyStore::from_mapped(&region, HEADER_LEN, n_keys)?;
-        check_sorted_unique(store.as_slice(), "key payload")?;
+        // A multiset is fine for the tree backends, which the adaptive
+        // selector picks for shards with duplicates; RMI shards are
+        // checked for unique keys below.
+        check_sorted(store.as_slice(), "key payload")?;
         let mut dec = Dec::new(&region.bytes()[manifest]);
         let backend_name = dec.str()?;
         let shard_count = dec.count(8)?;
@@ -751,6 +763,7 @@ impl ShardedIndex {
             let slice = store.slice(w[0]..w[1]);
             let shard: Box<dyn RangeIndex> = match tag {
                 SHARD_TAG_RMI => {
+                    check_sorted_unique(slice.as_slice(), "an RMI shard's keys")?;
                     let params = decode_rmi_params(&mut dec)?;
                     Box::new(Rmi::from_params(slice, &params).ok_or_else(|| {
                         format_err("shard parameters inconsistent with its key range")

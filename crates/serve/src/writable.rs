@@ -212,7 +212,7 @@ impl WritableShard {
         };
         let obs = self.obs.get();
         let t_train = Instant::now();
-        let keys = KeyStore::new(cut.merged_keys());
+        let keys = cut.merged_keys();
         let (rebuilt, cfg, choice) = train_selected(&keys, leaf_fraction, retune);
         if let Some(obs) = obs {
             let ns = obs.trained(keys.len(), t_train);

@@ -475,3 +475,111 @@ fn corrupt_backend_tag_is_a_typed_format_error() {
         Ok(_) => panic!("a corrupt backend tag must not load"),
     }
 }
+
+/// Re-seal a snapshot after a semantic edit: the key payload checksum
+/// (header bytes 32..40), the manifest checksum (40..48), then the
+/// header checksum over bytes 0..56 (56..64). The load then fails, if
+/// at all, on the decoder's own checks.
+fn reseal(bytes: &mut [u8], n_keys: usize) {
+    const HEADER_LEN: usize = 4096;
+    let keys_end = HEADER_LEN + n_keys * 8;
+    let keys_sum = fnv1a(&bytes[HEADER_LEN..keys_end]);
+    bytes[32..40].copy_from_slice(&keys_sum.to_le_bytes());
+    let manifest_sum = fnv1a(&bytes[keys_end..]);
+    bytes[40..48].copy_from_slice(&manifest_sum.to_le_bytes());
+    let header_sum = fnv1a(&bytes[0..56]);
+    bytes[56..64].copy_from_slice(&header_sum.to_le_bytes());
+}
+
+/// An Auto topology over duplicate-heavy keys saves a multiset key
+/// payload (the selector puts multiset shards on a duplicate-exact
+/// tree). It loads backend-for-backend with `train_count` flat, and
+/// every lower bound, on duplicates the first occurrence, matches the
+/// oracle.
+#[test]
+fn auto_multiset_topology_round_trips_backend_for_backend() {
+    use learned_indexes::data::Gauntlet;
+    use learned_indexes::serve::Backend;
+
+    let mut data = Gauntlet::HeavyDup.generate(40_000, 3);
+    assert!(
+        data.windows(2).any(|w| w[0] == w[1]),
+        "keys need duplicates"
+    );
+    // Unique near-linear keys above them, so that the topology mixes
+    // RMI shards with the multiset ones.
+    let above = data[data.len() - 1] + 1;
+    data.extend((0..60_000u64).map(|i| above + 3 * i));
+    let path = tmp_path("auto-multiset");
+    let _guard = Cleanup(path.clone());
+    let original = ShardedIndex::build(data.clone(), 4, &Backend::Auto);
+    let names: Vec<String> = (0..4).map(|s| original.shard(s).name()).collect();
+    assert!(
+        names.iter().any(|n| n.starts_with("rmi")),
+        "no RMI shard: {names:?}"
+    );
+    assert!(
+        names.iter().any(|n| !n.starts_with("rmi")),
+        "no tree shard: {names:?}"
+    );
+    original.save(&path).unwrap();
+    drop(original);
+
+    let before = train_count();
+    let loaded = ShardedIndex::load(&path).unwrap();
+    assert_eq!(train_count(), before, "load must not train");
+    for (s, want) in names.iter().enumerate() {
+        assert_eq!(&loaded.shard(s).name(), want, "shard {s} changed backend");
+    }
+    let mut probes: Vec<u64> = vec![0, u64::MAX];
+    probes.extend(data.iter().flat_map(|&k| [k.saturating_sub(1), k, k + 1]));
+    for q in probes {
+        assert_eq!(
+            loaded.lower_bound(q),
+            data.partition_point(|&k| k < q),
+            "q={q}"
+        );
+    }
+}
+
+/// An unsorted key payload, and duplicate keys inside an RMI shard, are
+/// typed `Format` errors even with valid checksums.
+#[test]
+fn unsorted_payloads_and_duplicate_rmi_keys_are_typed_format_errors() {
+    let n_keys = 1_000usize;
+    let data: Vec<u64> = (0..n_keys as u64).map(|i| 10 * i).collect();
+    // Both shards are RMI shards.
+    let path = tmp_path("bad-order");
+    let _guard = Cleanup(path.clone());
+    ShardedIndex::build(data, 2, &RmiShardBuilder::new())
+        .save(&path)
+        .unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    const HEADER_LEN: usize = 4096;
+    let key_at = |i: usize| HEADER_LEN + 8 * i;
+
+    let cases: [(&str, usize, u64, &str); 2] = [
+        // Key 100 smaller than key 99: the payload is out of order.
+        ("unsorted", 100, 5, "must be sorted"),
+        // Key 100 equal to key 99, inside shard 0 (keys 0..500).
+        (
+            "duplicate in an RMI shard",
+            100,
+            990,
+            "must be sorted and unique",
+        ),
+    ];
+    for (what, i, value, want) in cases {
+        let mut bytes = saved.clone();
+        bytes[key_at(i)..key_at(i + 1)].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut bytes, n_keys);
+        std::fs::write(&path, &bytes).unwrap();
+        match ShardedIndex::load(&path) {
+            Err(PersistError::Format(msg)) => {
+                assert!(msg.contains(want), "{what}: unexpected rejection: {msg}")
+            }
+            Err(e) => panic!("{what}: expected a Format error, got {e}"),
+            Ok(_) => panic!("{what}: the payload must not load"),
+        }
+    }
+}
