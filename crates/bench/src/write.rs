@@ -3,13 +3,14 @@
 //! across four write strategies per configuration:
 //!
 //! * **Scalar / inline** — one [`ShardedWritable::insert`] per key;
-//!   the inserting thread rebalances inline (the PR-4 baseline).
+//!   the insert that trips a trigger runs the rebalance pass itself
+//!   (off-lock rebuild, brief publish) and pays its latency.
 //! * **Batched / inline** — [`ShardedWritable::insert_batch`] in
 //!   [`INSERT_BATCH`]-key chunks: one topology-lock acquisition and one
 //!   per-shard lock handoff per chunk instead of per key.
 //! * **Scalar / background** — scalar inserts with a
-//!   [`RebalanceWorker`] attached: inserts only record pressure; shard
-//!   rebuilds happen on the worker thread, off the insert path.
+//!   [`RebalanceWorker`] attached: inserts only signal; the same
+//!   rebalance pass runs on the worker thread, off the insert path.
 //! * **Tiered** — scalar inserts with `max_runs =` [`TIERED_MAX_RUNS`]
 //!   and a worker attached: full buffers *seal* into immutable sorted
 //!   runs (O(buffer), no retrain) and the worker folds full run stacks
@@ -265,14 +266,16 @@ fn run_one(
     drop(worker);
 
     let lat = LatencySummary::of(&lookup_hist);
+    let metrics = sw.metrics();
+    let count = |name| metrics.counter(name).unwrap_or(0) as usize;
     ModeStats {
         inserted,
         inserts_per_sec: inserted as f64 / write_secs.max(1e-9),
         mean_lookup_ns: lat.mean_ns,
         p99_lookup_ns: lat.p99_ns as f64,
-        splits: sw.splits(),
-        shard_merges: sw.shard_merges(),
-        compactions: sw.compactions(),
+        splits: count("li_shard_splits_total"),
+        shard_merges: count("li_shard_merges_total"),
+        compactions: count("li_compactions_total"),
         final_shards: sw.shard_count(),
     }
 }
@@ -357,7 +360,7 @@ pub fn print(rows: &[WriteRow], keys: usize) {
             "BG ins/s",
             "Tiered ins/s",
             "Tiered x",
-            "p99 inline (ns)",
+            "p99 scalar (ns)",
             "p99 BG (ns)",
             "p99 tiered (ns)",
             "Rebal (s/m, BG)",
@@ -403,7 +406,7 @@ pub fn print(rows: &[WriteRow], keys: usize) {
         "lookups sampled concurrently with the insert stream; host exposes {cores} core(s) — on 1 core the numbers measure interleaving, not parallel capacity"
     ));
     t.note("mean/p99 lookup latency comes from an li-obs log-linear histogram (bounded-error quantiles, same engine as the serving tier's metrics)");
-    t.note("Scalar/Batched rebalance inline on the inserting thread; BG and Tiered rows attach a RebalanceWorker (rebuilds off the insert path, published with a straggler drain)");
+    t.note("Scalar/Batched run the rebalance pass on the inserting thread that trips a trigger; BG and Tiered rows attach a RebalanceWorker that runs the same pass off the insert path (either way, rebuilds run with no topology lock held and publish with a straggler drain)");
     t.note("Tiered rows seal full buffers into sorted runs (no retrain) and the worker folds full stacks into the base — one retrain per max_runs buffers; Compactions counts those folds");
     t.note("splits/merges = rebalance actions the load provoked (a shard splits at 1.5x its initial fair share; the keyset doubles over the run)");
     t.print();

@@ -44,10 +44,10 @@
 //!   atomically) and load it back with the key array **mapped** and
 //!   zero models retrained — a warm restart.
 //! * [`RebalanceWorker`] — background rebalancing: a dedicated thread
-//!   that owns split/merge execution while attached, so inserts only
-//!   record pressure into lock-free counters and signal over a channel;
-//!   rebuilds happen off the insert path and are published with an
-//!   incremental straggler hand-off ([`rebalance_worker`]).
+//!   that runs the structure's one rebalance pass while attached, so
+//!   inserts only signal over a channel; the same off-lock rebuilds and
+//!   incremental straggler hand-off an inline pass runs happen off the
+//!   insert path ([`rebalance_worker`]).
 //! * [`obs`] — the observability surface: every structure owns a
 //!   [`ServeMetrics`] bundle of `li-obs` striped counters, latency
 //!   histograms and a structural-event trace ring;
@@ -94,7 +94,7 @@ pub use li_obs::{MetricsRegistry, MetricsSnapshot};
 pub use obs::ServeMetrics;
 pub use persist::PersistError;
 pub use rebalance::{RebalanceAction, RebalanceConfig};
-pub use rebalance_worker::RebalanceWorker;
+pub use rebalance_worker::{RebalanceWorker, WorkerTally};
 pub use router::ShardRouter;
 pub use select::{choose, choose_multiset, AutoShardBuilder, Backend, BackendChoice};
 pub use sharded::ShardedIndex;

@@ -1,25 +1,25 @@
-//! Background rebalancing: shard rebuilds off the insert path.
+//! Background rebalancing: the rebalance pass on a dedicated thread.
 //!
-//! PR 4's rebalancer ran **inline**: the insert that pushed a shard
-//! over its threshold executed the split — export, retrain, router
-//! rebuild — under the topology *write* lock, stalling every concurrent
-//! insert and snapshot for the duration of the rebuild. Both
-//! *Benchmarking Learned Indexes* (Marcus et al.) and Google's
-//! disk-based learned-index deployment report exactly this shape of
-//! problem: background reorganization, not steady-state lookup, is
-//! where write-heavy deployments spend their tail latency.
+//! A [`ShardedWritable`] has one rebalance pass — fold full run stacks,
+//! then split or merge until the topology is stable — and every split or
+//! merge in it rebuilds the replacement shards with no topology lock
+//! held, then publishes them under a brief write lock. Without a worker,
+//! the insert that trips a trigger runs that pass itself and pays the
+//! rebuild latency. Both *Benchmarking Learned Indexes* (Marcus et al.)
+//! and Google's disk-based learned-index deployment report that
+//! background reorganization, not steady-state lookup, is where
+//! write-heavy deployments spend their tail latency.
 //!
-//! [`RebalanceWorker`] moves that work to a dedicated thread:
+//! [`RebalanceWorker`] moves the pass to a dedicated thread:
 //!
 //! ```text
 //!  insert(k) ──▶ owner shard           (topology READ lock only)
 //!      │
-//!      ├─ record(len watermark, hot)──▶ WorkerLink   (lock-free atomics)
-//!      └─ hot or periodic? ──────────▶ signal()      (mpsc wake, collapsed
-//!                                          │          to one in-flight msg)
-//!                                          ▼
-//!                                   rebalance worker thread
-//!                                   loop per pass:
+//!      └─ hot, stack full or periodic? ──▶ signal()   (mpsc wake, collapsed
+//!                                             │        to one in-flight msg)
+//!                                             ▼
+//!                                   rebalance worker thread, per wake:
+//!                                     ShardedWritable::rebalance_pass
 //!                                     0. compact full run stacks (tiered
 //!                                        mode: K sealed runs → base, ONE
 //!                                        retrain, no topology lock)
@@ -33,55 +33,40 @@
 //!                                        the Arc<Topology>)
 //! ```
 //!
-//! The worker owns [`crate::rebalance::plan`] execution while attached:
-//! inserts never rebalance inline, they only record pressure into the
-//! link's lock-free counters and (rarely — when a shard runs hot or the
-//! periodic cadence is crossed) send one wake message. Dropping the
+//! While the worker is attached, inserts never run the pass: they only
+//! send one wake message (rarely — when a shard runs hot, a run stack
+//! fills or the periodic cadence is crossed). Passes stay serialized
+//! with any manual [`ShardedWritable::rebalance`] call. Dropping the
 //! worker detaches the link, joins the thread, and returns the
-//! structure to inline rebalancing.
+//! structure to inline passes.
 //!
-//! Snapshot consistency is unchanged from the inline path: a topology
-//! is still published as one `Arc` swap under the write lock, so a
-//! reader observes a pre- or post-rebalance topology, never a torn
-//! mixture. What changes is *who waits*: the expensive rebuild happens
-//! with no topology lock held, and the write lock is held only for the
-//! straggler drain — O(1) length checks when nothing raced in (the
-//! common case), a linear diff of the touched shard otherwise — never
-//! for the retrain.
+//! The worker's own tallies ([`RebalanceWorker::applied`]) come from
+//! the results of its passes; the structure's totals, whoever ran them,
+//! live in its metrics registry ([`ShardedWritable::metrics`]).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::rebalance::RebalanceAction;
-use crate::sharded_writable::{BackgroundStep, ShardedWritable};
+use crate::sharded_writable::{Pass, ShardedWritable};
 
 /// Wake-channel message from inserters (or the handle) to the worker.
 enum Wake {
-    /// Pressure was recorded; run a rebalance pass.
+    /// A trigger fired; run a rebalance pass.
     Work,
     /// The handle is shutting down; exit the loop.
     Shutdown,
 }
 
-/// The lock-free pressure board + wake channel linking a
-/// [`ShardedWritable`]'s inserters to the background worker.
-///
-/// Inserters touch only atomics on the hot path ([`WorkerLink::record`])
-/// and send at most one wake message per worker pass
-/// ([`WorkerLink::signal`] collapses signal storms with a flag swap).
+/// The wake channel linking a [`ShardedWritable`]'s inserters to the
+/// background worker. Inserters send at most one wake message per
+/// worker pass ([`WorkerLink::signal`] collapses signal storms with a
+/// flag swap).
 #[derive(Debug)]
 pub(crate) struct WorkerLink {
-    /// Set when an inserter observes its owner shard above the split
-    /// threshold; cleared when the worker begins a pass.
-    hot: AtomicBool,
-    /// Successful (key-adding) inserts since the worker's last pass.
-    since_pass: AtomicUsize,
-    /// Shard-length high-watermark observed by inserters since the
-    /// worker's last pass.
-    max_len_seen: AtomicUsize,
     /// Whether a wake message is already in flight (collapses storms).
     signaled: AtomicBool,
     /// Set once, when the worker thread exits (shutdown or panic).
@@ -102,9 +87,6 @@ pub(crate) struct WorkerLink {
 impl WorkerLink {
     fn new(tx: Sender<Wake>) -> Self {
         Self {
-            hot: AtomicBool::new(false),
-            since_pass: AtomicUsize::new(0),
-            max_len_seen: AtomicUsize::new(0),
             signaled: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             #[cfg(test)]
@@ -112,16 +94,6 @@ impl WorkerLink {
             tx,
             idle: Mutex::new(true),
             idle_cv: Condvar::new(),
-        }
-    }
-
-    /// Record insert pressure — called on every successful insert (or
-    /// batch) while a worker is attached. Lock-free: three atomic ops.
-    pub(crate) fn record(&self, newly: usize, owner_len: usize, owner_hot: bool) {
-        self.since_pass.fetch_add(newly, Ordering::Relaxed);
-        self.max_len_seen.fetch_max(owner_len, Ordering::Relaxed);
-        if owner_hot {
-            self.hot.store(true, Ordering::Relaxed);
         }
     }
 
@@ -135,22 +107,17 @@ impl WorkerLink {
             // while a wake message is queued.
             *self.idle_lock() = false;
             // A send error means the worker already exited (handle
-            // dropped mid-signal); pressure is then simply dropped —
+            // dropped mid-signal); the wake is then simply dropped —
             // the structure is back in inline mode for future inserts.
             let _ = self.tx.send(Wake::Work);
         }
     }
 
-    /// Worker-side: start a pass. Re-arms the signal flag (signals
-    /// arriving from here on send a fresh wake message, so pressure
-    /// recorded *during* the pass is never lost) and drains the board.
-    fn begin_pass(&self) -> Pressure {
+    /// Worker-side: start a pass. Re-arms the signal flag, so a trigger
+    /// that fires *during* the pass sends a fresh wake message and is
+    /// never lost.
+    fn begin_pass(&self) {
         self.signaled.store(false, Ordering::Release);
-        Pressure {
-            hot: self.hot.swap(false, Ordering::Relaxed),
-            inserts: self.since_pass.swap(0, Ordering::Relaxed),
-            max_len_seen: self.max_len_seen.swap(0, Ordering::Relaxed),
-        }
     }
 
     /// Worker-side: end a pass. Marks the link idle unless a new signal
@@ -209,33 +176,45 @@ impl WorkerLink {
     }
 }
 
-/// Pressure drained from the board at the start of a worker pass
-/// (diagnostics; the worker re-observes exact lens itself).
-#[derive(Debug, Clone, Copy)]
-struct Pressure {
-    hot: bool,
-    inserts: usize,
-    max_len_seen: usize,
+/// What a [`RebalanceWorker`]'s own passes applied since it attached,
+/// taken from each pass's result: a split, merge or fold run by any
+/// other driver (an inline trigger, a manual
+/// [`ShardedWritable::rebalance`]) never shows up here. The structure's
+/// totals, whoever ran them, are the registry counters behind
+/// [`ShardedWritable::metrics`] (`li_shard_splits_total`, …).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WorkerTally {
+    /// Shard splits published.
+    pub splits: usize,
+    /// Shard merges published.
+    pub merges: usize,
+    /// Run-stack compactions (shards whose sealed runs were folded into
+    /// the base with one retrain).
+    pub compactions: usize,
+    /// Sealed runs those compactions consumed.
+    pub runs_folded: usize,
 }
 
-/// Counters the worker thread publishes for the handle (and tests).
-///
-/// Structural totals (splits, merges, compactions, runs folded) are
-/// deliberately **absent**: those live in the structure's
-/// [`ServeMetrics`](crate::ServeMetrics) registry — the single source
-/// of truth — and the handle's accessors read them from there against
-/// an attach-time baseline. Only worker-private bookkeeping (passes,
-/// races, drained pressure) is tracked here.
+impl WorkerTally {
+    fn add(&mut self, pass: &Pass) {
+        for action in &pass.actions {
+            match action {
+                RebalanceAction::Split { .. } => self.splits += 1,
+                RebalanceAction::Merge { .. } => self.merges += 1,
+            }
+        }
+        self.compactions += pass.compactions;
+        self.runs_folded += pass.runs_folded;
+    }
+}
+
+/// What the worker thread publishes for the handle: only what the
+/// worker alone knows.
 #[derive(Debug, Default)]
 struct WorkerStats {
-    passes: AtomicUsize,
-    races: AtomicUsize,
-    /// Cumulative inserts drained off the pressure board.
-    pressure_inserts: AtomicUsize,
-    /// Passes whose drained pressure included a hot-shard observation.
-    hot_wakes: AtomicUsize,
-    /// High-watermark of shard lengths reported by inserters.
-    max_len_seen: AtomicUsize,
+    /// Running sum of the worker's pass results. Poison-tolerant: the
+    /// critical section is one add of plain integers.
+    applied: Mutex<WorkerTally>,
     /// Set if the worker thread panicked (the panic is contained: the
     /// worker detaches itself so the structure returns to inline
     /// rebalancing, and waiters are woken instead of hanging).
@@ -244,13 +223,13 @@ struct WorkerStats {
 
 /// A dedicated background rebalance thread for a [`ShardedWritable`].
 ///
-/// While the worker is attached, it **owns** rebalancing: inserts only
-/// record pressure into lock-free counters and signal the worker over
-/// a channel; the worker rebuilds split/merge topologies *off* the
-/// insert path and publishes them with an incremental hand-off (writes
-/// that raced into a shard mid-rebuild are re-routed by the new
-/// topology's ownership bounds). Dropping the handle shuts the thread
-/// down, joins it, and re-enables inline rebalancing.
+/// While the worker is attached, inserts only signal it over a channel
+/// and the worker runs the structure's rebalance pass *off* the insert
+/// path: split/merge topologies are rebuilt off-lock and published with
+/// an incremental hand-off (writes that raced into a shard mid-rebuild
+/// are re-routed by the new topology's ownership bounds). Dropping the
+/// handle shuts the thread down, joins it, and re-enables inline
+/// passes.
 ///
 /// # Examples
 /// ```
@@ -267,7 +246,7 @@ struct WorkerStats {
 /// assert!(sw.has_background_worker());
 ///
 /// for k in 256..1024u64 {
-///     sw.insert(k); // records pressure; signals the worker as needed
+///     sw.insert(k); // signals the worker when a trigger fires
 /// }
 /// worker.kick(); // force a scan now rather than waiting for a trigger
 /// assert!(worker.wait_until_stable(Duration::from_secs(10)));
@@ -280,49 +259,19 @@ pub struct RebalanceWorker {
     sw: Arc<ShardedWritable>,
     link: Arc<WorkerLink>,
     stats: Arc<WorkerStats>,
-    /// Registry totals at attach time. The structural accessors
-    /// (`splits()`, `merges()`, `compactions()`, `runs_compacted()`)
-    /// are thin reads of the structure's metrics registry minus these
-    /// baselines — the registry is the single source of truth, so the
-    /// worker's view and [`ShardedWritable::splits`] & friends can
-    /// never drift apart.
-    base: Baseline,
     handle: Option<JoinHandle<()>>,
-}
-
-/// Structural-counter totals captured from the registry at attach
-/// time, so the handle reports only actions applied while attached.
-#[derive(Debug, Clone, Copy)]
-struct Baseline {
-    splits: u64,
-    merges: u64,
-    compactions: u64,
-    runs_compacted: u64,
-    backend_selections: u64,
-    backend_switches: u64,
 }
 
 impl RebalanceWorker {
     /// Spawn the worker thread and attach it to `sw`. From this moment
-    /// until the handle is dropped, inserts on `sw` never rebalance
-    /// inline.
+    /// until the handle is dropped, inserts on `sw` never run the
+    /// rebalance pass inline.
     ///
     /// # Panics
     /// If another worker is already attached to `sw`.
     pub fn spawn(sw: Arc<ShardedWritable>) -> Self {
         let (tx, rx) = mpsc::channel();
         let link = Arc::new(WorkerLink::new(tx));
-        // Baseline the structural counters before attaching: everything
-        // the registry accrues from here on happened on our watch.
-        let obs = sw.metrics_handle();
-        let base = Baseline {
-            splits: obs.splits.value(),
-            merges: obs.shard_merges.value(),
-            compactions: obs.compactions.value(),
-            runs_compacted: obs.runs_compacted.value(),
-            backend_selections: obs.backend_selections.value(),
-            backend_switches: obs.backend_switches.value(),
-        };
         sw.attach_worker(Arc::clone(&link));
         let stats = Arc::new(WorkerStats::default());
         let spawned = {
@@ -341,7 +290,7 @@ impl RebalanceWorker {
                     // the closure borrows are the lock-protected
                     // `ShardedWritable` (whose guards recover from
                     // poison because every critical section leaves the
-                    // data valid) and atomics.
+                    // data valid), atomics and the tally mutex.
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         worker_loop(&sw, &link, &rx, &stats);
                     }));
@@ -366,7 +315,6 @@ impl RebalanceWorker {
             sw,
             link,
             stats,
-            base,
             handle: Some(handle),
         }
     }
@@ -393,90 +341,10 @@ impl RebalanceWorker {
         self.stats.panicked.load(Ordering::Acquire)
     }
 
-    /// Shard splits applied since this worker attached.
-    ///
-    /// A thin read of the registry's `li_shard_splits_total` counter
-    /// against the attach-time baseline — the same counter
-    /// [`ShardedWritable::splits`](crate::ShardedWritable::splits)
-    /// reports, so the two can never drift. While attached, the worker
-    /// owns rebalancing, so this is exactly the worker's own tally
-    /// (plus any manual [`ShardedWritable::rebalance`]
-    /// (crate::ShardedWritable::rebalance) calls the owner raced in).
-    pub fn splits(&self) -> usize {
-        (self.sw.metrics_handle().splits.value()).saturating_sub(self.base.splits) as usize
-    }
-
-    /// Shard merges applied since this worker attached (thin read of
-    /// `li_shard_merges_total`; see [`RebalanceWorker::splits`]).
-    pub fn merges(&self) -> usize {
-        (self.sw.metrics_handle().shard_merges.value()).saturating_sub(self.base.merges) as usize
-    }
-
-    /// Run-stack compactions applied since this worker attached
-    /// (tiered mode: shards whose sealed runs were folded into the
-    /// base with one retrain). While attached, the worker is the
-    /// *only* compactor, so this equals the structure's own
-    /// [`ShardedWritable::compactions`](crate::ShardedWritable::compactions)
-    /// counter — both are thin reads of `li_compactions_total`.
-    pub fn compactions(&self) -> usize {
-        (self.sw.metrics_handle().compactions.value()).saturating_sub(self.base.compactions)
-            as usize
-    }
-
-    /// Sealed runs folded since this worker attached (thin read of
-    /// `li_runs_compacted_total`).
-    pub fn runs_compacted(&self) -> usize {
-        (self.sw.metrics_handle().runs_compacted.value()).saturating_sub(self.base.runs_compacted)
-            as usize
-    }
-
-    /// Backend grid-searches run since this worker attached (thin read
-    /// of `li_backend_selections_total`). Under [`crate::Backend::Auto`]
-    /// (crate::Backend::Auto) every shard rebuild the worker publishes
-    /// — each split half, each merge, each compaction — re-runs
-    /// selection exactly once, so this tracks the worker's rebuild
-    /// tally shard-for-shard.
-    pub fn backend_selections(&self) -> usize {
-        (self.sw.metrics_handle().backend_selections.value())
-            .saturating_sub(self.base.backend_selections) as usize
-    }
-
-    /// Selections that flipped a shard's backend family (RMI ↔ tree)
-    /// since this worker attached (thin read of
-    /// `li_backend_switches_total`).
-    pub fn backend_switches(&self) -> usize {
-        (self.sw.metrics_handle().backend_switches.value())
-            .saturating_sub(self.base.backend_switches) as usize
-    }
-
-    /// Rebalance passes the worker has completed (one per wake).
-    pub fn passes(&self) -> usize {
-        self.stats.passes.load(Ordering::Relaxed)
-    }
-
-    /// Rebuilds discarded because the topology changed between observe
-    /// and publish (another publisher won the race; the worker
-    /// re-planned from the fresh topology).
-    pub fn races(&self) -> usize {
-        self.stats.races.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative successful inserts drained off the pressure board
-    /// (how much write traffic the worker has accounted for).
-    pub fn pressure_inserts(&self) -> usize {
-        self.stats.pressure_inserts.load(Ordering::Relaxed)
-    }
-
-    /// Passes that began with a hot-shard observation on the board
-    /// (as opposed to periodic-cadence or manual kicks).
-    pub fn hot_wakes(&self) -> usize {
-        self.stats.hot_wakes.load(Ordering::Relaxed)
-    }
-
-    /// High-watermark of owner-shard lengths reported by inserters
-    /// since the worker started.
-    pub fn max_len_seen(&self) -> usize {
-        self.stats.max_len_seen.load(Ordering::Relaxed)
+    /// What this worker's own passes have applied since it attached
+    /// (see [`WorkerTally`]).
+    pub fn applied(&self) -> WorkerTally {
+        *self.stats.applied.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The structure this worker rebalances.
@@ -506,67 +374,28 @@ impl Drop for RebalanceWorker {
     }
 }
 
-/// The worker thread body: sleep on the channel, and per wake run
-/// rebalance steps until the topology is stable (bounded by the same
-/// backstop budget as the inline loop).
+/// The worker thread body: sleep on the channel, and per wake run one
+/// rebalance pass, adding its result to the worker's tally.
 fn worker_loop(sw: &ShardedWritable, link: &WorkerLink, rx: &Receiver<Wake>, stats: &WorkerStats) {
     while let Ok(Wake::Work) = rx.recv() {
-        let pressure = link.begin_pass();
+        link.begin_pass();
         #[cfg(test)]
         if link.fail_next_pass.swap(false, Ordering::Relaxed) {
             panic!("injected rebalance-worker panic (test)");
         }
+        let pass = sw.rebalance_pass();
         stats
-            .pressure_inserts
-            .fetch_add(pressure.inserts, Ordering::Relaxed);
-        if pressure.hot {
-            stats.hot_wakes.fetch_add(1, Ordering::Relaxed);
-        }
-        // The watermark is diagnostic; the pass below re-observes exact
-        // lens under the read lock before planning.
-        stats
-            .max_len_seen
-            .fetch_max(pressure.max_len_seen, Ordering::Relaxed);
-        // Tiered mode: fold full run stacks into their bases first —
-        // one retrain per K sealed runs, off the insert path, before
-        // split/merge planning looks at shard shapes. Inserters never
-        // compact while we are attached (they only signal); the folds
-        // land in the structure's metrics registry, which the handle's
-        // accessors read back.
-        let _ = sw.compact_pending();
-        // Run steps until the topology is stable. The per-round budget
-        // is the same backstop as the inline loop; a round that
-        // exhausts it with work remaining (a giant backlog, or a storm
-        // of publish races) gets a few more bounded rounds instead of
-        // stranding an unstable topology as "idle".
-        let budget = sw.rebalance_budget();
-        let mut stable = false;
-        'pass: for _round in 0..4 {
-            for _ in 0..budget {
-                match sw.rebalance_step_background() {
-                    // Applied actions are already counted by the
-                    // publish path into the metrics registry.
-                    BackgroundStep::Applied(RebalanceAction::Split { .. })
-                    | BackgroundStep::Applied(RebalanceAction::Merge { .. }) => {}
-                    BackgroundStep::Raced => {
-                        stats.races.fetch_add(1, Ordering::Relaxed);
-                    }
-                    BackgroundStep::Stable => {
-                        stable = true;
-                        break 'pass;
-                    }
-                }
-            }
-        }
-        stats.passes.fetch_add(1, Ordering::Relaxed);
-        if !stable {
-            // Even the extra rounds ran out with work remaining: re-
-            // signal ourselves so the backlog resumes on the next wake
-            // instead of stranding an over-budget topology as "idle"
-            // until some future insert happens to signal. Each resumed
-            // pass applies real actions (or observes a newer
-            // generation), so this converges — it is a continuation,
-            // not a spin.
+            .applied
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .add(&pass);
+        if !pass.stable {
+            // The step budget ran out with work remaining (a giant
+            // backlog): re-signal ourselves so the backlog resumes on
+            // the next wake instead of stranding an over-budget
+            // topology as "idle" until some future insert happens to
+            // signal. Each resumed pass applies real actions, so this
+            // converges — it is a continuation, not a spin.
             link.signal();
         }
         link.finish_pass();
@@ -579,6 +408,11 @@ mod tests {
     use super::*;
     use crate::rebalance::RebalanceConfig;
     use crate::sharded_writable::ShardedWritableConfig;
+
+    /// A registry counter by name — the structure's only counter API.
+    fn count(sw: &ShardedWritable, name: &str) -> usize {
+        sw.metrics().counter(name).expect("registered") as usize
+    }
 
     fn small_cfg() -> ShardedWritableConfig {
         ShardedWritableConfig {
@@ -603,11 +437,12 @@ mod tests {
             sw.insert(k * 3);
         }
         assert!(worker.wait_until_stable(Duration::from_secs(30)));
-        assert!(worker.splits() >= 1, "worker must have split");
-        // In background mode ONLY the worker rebalances: the global
-        // counters are exactly the worker's.
-        assert_eq!(worker.splits(), sw.splits());
-        assert_eq!(worker.merges(), sw.shard_merges());
+        let applied = worker.applied();
+        assert!(applied.splits >= 1, "worker must have split");
+        // In background mode ONLY the worker rebalances: the registry
+        // totals are exactly what the worker's own passes applied.
+        assert_eq!(applied.splits, count(&sw, "li_shard_splits_total"));
+        assert_eq!(applied.merges, count(&sw, "li_shard_merges_total"));
         // Stability means every shard is within budget.
         for len in sw.shard_lens() {
             assert!(len <= small_cfg().rebalance.max_shard_len, "len {len}");
@@ -622,7 +457,7 @@ mod tests {
         let worker = RebalanceWorker::spawn(Arc::clone(&sw));
         worker.kick();
         assert!(worker.wait_until_stable(Duration::from_secs(30)));
-        assert!(worker.merges() >= 1, "cold neighbors must merge");
+        assert!(worker.applied().merges >= 1, "cold neighbors must merge");
         assert!(sw.shard_count() < 8);
         assert_eq!(sw.range_keys(0, u64::MAX), data);
     }
@@ -637,12 +472,12 @@ mod tests {
             assert!(worker.wait_until_stable(Duration::from_secs(30)));
         }
         assert!(!sw.has_background_worker());
-        // Inline mode again: this load rebalances on the inserting
-        // thread, exactly like PR 4.
+        // Inline mode again: this load runs the rebalance pass on the
+        // inserting thread.
         for k in 1..=300u64 {
             sw.insert(k * 2);
         }
-        assert!(sw.splits() >= 1);
+        assert!(count(&sw, "li_shard_splits_total") >= 1);
     }
 
     #[test]
@@ -655,9 +490,9 @@ mod tests {
 
     #[test]
     fn manual_rebalance_races_are_absorbed() {
-        // A manual rebalance() call while the worker runs can win the
-        // publish race; the worker must discard its stale rebuild and
-        // re-plan, never publish over the newer topology.
+        // Manual rebalance() calls compete with the worker's passes;
+        // the passes serialize, and neither driver may publish over a
+        // newer topology or lose a key.
         let sw = Arc::new(ShardedWritable::new(vec![0u64], 1, small_cfg()));
         let worker = RebalanceWorker::spawn(Arc::clone(&sw));
         std::thread::scope(|scope| {
@@ -681,7 +516,7 @@ mod tests {
         // Every publication is accounted for exactly once.
         assert_eq!(
             sw.generation(),
-            (sw.splits() + sw.shard_merges()) as u64,
+            (count(&sw, "li_shard_splits_total") + count(&sw, "li_shard_merges_total")) as u64,
             "torn generation accounting"
         );
     }
@@ -714,7 +549,10 @@ mod tests {
         for k in 0..=300u64 {
             sw.insert(k * 2 + 1);
         }
-        assert!(sw.splits() >= 1, "inline splitting must have resumed");
+        assert!(
+            count(&sw, "li_shard_splits_total") >= 1,
+            "inline splitting must have resumed"
+        );
         assert!(sw.contains(601));
         for len in sw.shard_lens() {
             assert!(len <= small_cfg().rebalance.max_shard_len, "len {len}");
@@ -739,20 +577,5 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "dead flag must short-circuit the wait, not ride out the timeout"
         );
-    }
-
-    #[test]
-    fn pressure_board_records_and_drains() {
-        let (tx, _rx) = mpsc::channel();
-        let link = WorkerLink::new(tx);
-        link.record(3, 100, false);
-        link.record(2, 400, true);
-        let p = link.begin_pass();
-        assert_eq!(p.inserts, 5);
-        assert_eq!(p.max_len_seen, 400);
-        assert!(p.hot);
-        let p2 = link.begin_pass();
-        assert_eq!(p2.inserts, 0);
-        assert!(!p2.hot);
     }
 }

@@ -18,14 +18,18 @@
 //!   — a consistent router + snapshot-vector *pair* from a single
 //!   topology. All subsequent reads on the [`ShardedSnapshot`] are
 //!   lock-free.
-//! * **Rebalancing** takes the topology *write* lock: with all inserts
-//!   excluded, a hot shard is split at its balanced
+//! * **Rebalancing** runs as one *pass* (`rebalance_pass`), whichever
+//!   driver starts it — an insert that trips a trigger, a manual
+//!   [`ShardedWritable::rebalance`], or an attached
+//!   [`crate::RebalanceWorker`]. A hot shard is split at its balanced
 //!   [`li_index::partition::split_point`] (handing the upper half of
-//!   its keys to a new sibling), or two cold neighbors are merged; the
-//!   boundary vector is updated, the router rebuilt, and the whole
-//!   topology published as one new `Arc`. A snapshot therefore always
-//!   observes a *pre-* or *post-*rebalance topology, never a torn
-//!   mixture — the property the stress and property suites pin down.
+//!   its keys to a new sibling), or two cold neighbors are merged: the
+//!   replacement shards are rebuilt with *no* topology lock held, then
+//!   the topology *write* lock is taken briefly to re-route the writes
+//!   that raced in and publish the new bounds, router and shards as one
+//!   new `Arc`. A snapshot therefore always observes a *pre-* or
+//!   *post-*rebalance topology, never a torn mixture — the property the
+//!   stress and property suites pin down.
 //!
 //! # Ownership invariant
 //!
@@ -43,12 +47,11 @@
 //! LSM-style tiered cycle instead of merge-at-threshold: a full buffer
 //! is *sealed* into an immutable [`li_core::SortedRun`] (O(buffer), no
 //! base retrain), and once `max_runs` runs stack up the shard is
-//! *compacted* — all runs folded into the base with ONE retrain. The
-//! insert that fills a run stack never compacts inline while a
-//! [`crate::RebalanceWorker`] is attached; it only signals, and the
-//! worker folds the stack off the insert path (with no worker
-//! attached, the insert compacts inline — the same owner-driven
-//! fallback as inline rebalancing).
+//! *compacted* — all runs folded into the base with ONE retrain.
+//! Compaction is the first step of the rebalance pass: the insert that
+//! fills a run stack runs the pass inline, or only signals while a
+//! [`crate::RebalanceWorker`] is attached, which then folds the stack
+//! off the insert path.
 //!
 //! # Per-shard retuning
 //!
@@ -140,7 +143,7 @@ pub struct ShardedWritableConfig {
     /// the insert fast path (one branch remains) — the `repro stats`
     /// overhead benchmark compares the two. Structural metrics (splits,
     /// merges, compactions, WAL and worker activity) record regardless:
-    /// they are cold-path and double as the structure's own counters.
+    /// they are cold-path and are the structure's only counters.
     pub observe: bool,
     /// Split/merge thresholds.
     pub rebalance: RebalanceConfig,
@@ -199,17 +202,21 @@ struct Topology {
 /// rebalancing with per-shard model retuning. See the module docs (and
 /// `ARCHITECTURE.md` at the repository root) for the architecture.
 ///
-/// Rebalancing runs in one of two modes:
+/// Rebalancing is one pass — fold full run stacks, then split or merge
+/// until stable, each rebuild made with no topology lock held and
+/// published under a brief write lock — with two drivers:
 ///
 /// * **Inline** (the default): the insert that pushes a shard over its
-///   threshold — or that crosses the periodic scan cadence — runs
-///   [`ShardedWritable::rebalance`] itself, paying the shard-rebuild
-///   latency under the topology write lock.
+///   threshold, fills a run stack, or crosses the periodic scan cadence
+///   runs the pass itself and pays the rebuild latency; concurrent
+///   inserts and snapshots wait only for the publish.
 /// * **Background**: with a [`crate::RebalanceWorker`] attached,
-///   inserts only record pressure into lock-free counters and signal
-///   the worker; splits and merges are rebuilt *off* the insert path
-///   and published under a brief write lock (see
-///   `rebalance_step_background`).
+///   inserts only signal the worker, which runs the same pass off the
+///   insert path.
+///
+/// Passes are serialized, so two triggers never rebuild the same shard
+/// twice. Split, merge and compaction totals are read from the metrics
+/// registry ([`ShardedWritable::metrics`]).
 ///
 /// # Examples
 /// ```
@@ -240,15 +247,20 @@ pub struct ShardedWritable {
     /// pair from one `fetch_add` — control logic, not telemetry.
     inserts: AtomicUsize,
     /// The observability bundle: op counters, latency histograms, the
-    /// structural-event ring, and the **single source of truth** for
-    /// the split/merge/compaction counters behind
-    /// [`ShardedWritable::splits`] and friends. Shared (via `Arc`
-    /// clones) with every shard, the WAL and the background worker.
+    /// structural-event ring, and the structure's only counter surface
+    /// (splits, merges, compactions, backend selections — read back
+    /// through [`ShardedWritable::metrics`]). Shared (via `Arc` clones)
+    /// with every shard, the WAL and the background worker.
     obs: Arc<ServeMetrics>,
     /// Link to an attached background rebalance worker. `None` (the
-    /// default) means inserts rebalance inline; `Some` means inserts
-    /// only record pressure and signal — the worker owns rebalancing.
+    /// default) means inserts run the rebalance pass inline; `Some`
+    /// means inserts only signal — the worker runs the passes.
     worker: RwLock<Option<Arc<WorkerLink>>>,
+    /// Serializes rebalance passes, whichever driver runs them, so two
+    /// concurrent triggers never rebuild the same hot shard twice. Lock
+    /// order: the WAL mutex, then this, then the topology lock — it is
+    /// never taken while a topology guard is held.
+    pass: Mutex<()>,
     /// The attached write-ahead log, when this structure is durable
     /// (see [`ShardedWritable::enable_wal`] /
     /// [`ShardedWritable::recover`]). Writers hold this mutex across
@@ -292,6 +304,7 @@ impl ShardedWritable {
             inserts: AtomicUsize::new(0),
             obs,
             worker: RwLock::new(None),
+            pass: Mutex::new(()),
             wal: Mutex::new(None),
             durable: AtomicBool::new(false),
         }
@@ -300,10 +313,10 @@ impl ShardedWritable {
     /// Insert a key, returning whether it was newly inserted (`false`
     /// for duplicates). Routes to the owner shard under the topology
     /// read lock — concurrent inserts to different shards proceed in
-    /// parallel. When the owner runs hot or the periodic scan comes
-    /// due, either rebalances inline or (with a
-    /// [`crate::RebalanceWorker`] attached) signals the background
-    /// worker.
+    /// parallel. When the owner runs hot, its run stack fills or the
+    /// periodic scan comes due, either runs the rebalance pass inline
+    /// or (with a [`crate::RebalanceWorker`] attached) signals the
+    /// background worker.
     ///
     /// With a WAL attached the key is logged **before** it touches the
     /// in-memory tiers. This signature stays infallible: a WAL I/O
@@ -401,8 +414,8 @@ impl ShardedWritable {
     /// **once** for the whole batch, and each touched shard gets **one**
     /// write-lock handoff and at most one merge+retrain, instead of one
     /// of each per key. Rebalance pressure is accounted once at the
-    /// end, so a batch triggers at most one inline rebalance (or one
-    /// worker signal).
+    /// end, so a batch triggers at most one inline rebalance pass (or
+    /// one worker signal).
     ///
     /// With a WAL attached the whole batch is logged as **one atomic
     /// record** before any key touches the in-memory tiers (same
@@ -533,17 +546,19 @@ impl ShardedWritable {
     }
 
     /// Shared post-insert accounting for the scalar and batched write
-    /// paths: bump the global insert counter, then either record
-    /// pressure on the attached background worker's lock-free board
-    /// (signaling it when a shard ran hot, a run stack filled, or the
-    /// periodic scan cadence was crossed) or run the inline rebalancer
-    /// and compactor for the same triggers.
+    /// paths: bump the global insert counter, and when a shard ran hot,
+    /// a run stack filled, or the periodic scan cadence was crossed,
+    /// either signal the attached background worker or run the
+    /// rebalance pass inline.
     fn note_inserts(&self, newly: usize, max_owner_len: usize, compaction_due: bool) {
         let before = self.inserts.fetch_add(newly, Ordering::Relaxed);
         let after = before + newly;
         let owner_hot = max_owner_len > self.config.rebalance.max_shard_len;
         let periodic = self.config.check_interval > 0
             && before / self.config.check_interval != after / self.config.check_interval;
+        if !(owner_hot || periodic || compaction_due) {
+            return;
+        }
         // Poison-tolerant: the slot is a plain Option pointer, valid
         // even if a panicking thread died while holding the lock.
         if let Some(link) = self
@@ -552,18 +567,41 @@ impl ShardedWritable {
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
         {
-            link.record(newly, max_owner_len, owner_hot);
-            if owner_hot || periodic || compaction_due {
-                link.signal();
-            }
+            link.signal();
             return;
         }
-        if compaction_due {
-            self.compact_pending();
+        self.rebalance_pass();
+    }
+
+    /// One rebalance pass — the only split, merge and compaction
+    /// executor, whichever driver runs it ([`ShardedWritable::rebalance`],
+    /// the inline trigger in the insert path, or the attached
+    /// [`crate::RebalanceWorker`]): fold every full run stack, then apply
+    /// [`ShardedWritable::rebalance_step`]s until the topology is
+    /// stable, within [`ShardedWritable::rebalance_budget`] steps.
+    ///
+    /// Passes are serialized by the pass mutex. The caller may hold the
+    /// WAL mutex (a durable insert that trips a trigger) but never a
+    /// topology guard.
+    pub(crate) fn rebalance_pass(&self) -> Pass {
+        let _serial = self.pass.lock().unwrap_or_else(|e| e.into_inner());
+        let (compactions, runs_folded) = self.compact_pending();
+        let mut pass = Pass {
+            compactions,
+            runs_folded,
+            ..Pass::default()
+        };
+        for _ in 0..self.rebalance_budget() {
+            match self.rebalance_step() {
+                Step::Applied(action) => pass.actions.push(action),
+                Step::Raced => {}
+                Step::Stable => {
+                    pass.stable = true;
+                    break;
+                }
+            }
         }
-        if owner_hot || periodic {
-            self.rebalance();
-        }
+        pass
     }
 
     /// Compact every shard whose run stack is at its tiering bound:
@@ -571,15 +609,11 @@ impl ShardedWritable {
     /// topology lock held (only the shard's own brief read/write locks
     /// — see [`WritableShard::compact`]), so concurrent inserts and
     /// snapshots keep flowing. Returns `(shards compacted, runs
-    /// folded)`. This is the single compaction entry point for both
-    /// modes — the attached [`crate::RebalanceWorker`] calls it on its
-    /// passes, the insert path calls it inline when no worker is
-    /// attached — so the global [`ShardedWritable::compactions`]
-    /// counter accounts every compaction exactly once.
-    pub(crate) fn compact_pending(&self) -> (usize, usize) {
+    /// folded)`. Runs as the first step of every rebalance pass.
+    fn compact_pending(&self) -> (usize, usize) {
         // The Arc (not the guard) suffices: compaction never touches
-        // the topology, and a shard orphaned by a concurrent rebalance
-        // is merely wasted work, never lost keys.
+        // the topology, and passes are serialized, so no split or merge
+        // can orphan the shard mid-fold.
         let topo = self.read_topo();
         let mut compacted = 0usize;
         let mut folded = 0usize;
@@ -617,9 +651,9 @@ impl ShardedWritable {
         (compacted, folded)
     }
 
-    /// Attach a background worker's link: from now on inserts record
-    /// pressure and signal instead of rebalancing inline. Panics if a
-    /// worker is already attached.
+    /// Attach a background worker's link: from now on inserts signal
+    /// the worker instead of running the rebalance pass inline. Panics
+    /// if a worker is already attached.
     pub(crate) fn attach_worker(&self, link: Arc<WorkerLink>) {
         let mut slot = self.worker.write().unwrap_or_else(|e| e.into_inner());
         if slot.is_some() {
@@ -631,15 +665,15 @@ impl ShardedWritable {
         *slot = Some(link);
     }
 
-    /// Detach the background worker's link: inserts rebalance inline
-    /// again. Runs from `RebalanceWorker::drop`, so it must never
-    /// panic (poison-tolerant).
+    /// Detach the background worker's link: inserts run the rebalance
+    /// pass inline again. Runs from `RebalanceWorker::drop`, so it must
+    /// never panic (poison-tolerant).
     pub(crate) fn detach_worker(&self) {
         *self.worker.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
-    /// Whether a background rebalance worker currently owns
-    /// rebalancing (inserts then only record pressure and signal).
+    /// Whether a background rebalance worker is attached (inserts then
+    /// only signal it instead of running the rebalance pass).
     pub fn has_background_worker(&self) -> bool {
         self.worker
             .read()
@@ -747,51 +781,11 @@ impl ShardedWritable {
         self.metrics().render_text()
     }
 
-    /// How many shard splits have been applied. A thin read of the
-    /// metrics registry's `li_shard_splits_total` counter — the single
-    /// source of truth both this accessor and
-    /// [`ShardedWritable::metrics`] report from, so they can never
-    /// drift apart.
-    pub fn splits(&self) -> usize {
-        self.obs.splits.value() as usize
-    }
-
-    /// How many shard merges have been applied (thin read of
-    /// `li_shard_merges_total`; see [`ShardedWritable::splits`]).
-    pub fn shard_merges(&self) -> usize {
-        self.obs.shard_merges.value() as usize
-    }
-
-    /// How many run-stack compactions have been applied (shards whose
-    /// sealed runs were folded into the base with one retrain). Always
-    /// `0` when `max_runs == 0`. While a [`crate::RebalanceWorker`] is
-    /// attached, every compaction happens on the worker, so this equals
-    /// the worker's own compaction counter. (Thin read of
-    /// `li_compactions_total`; see [`ShardedWritable::splits`].)
-    pub fn compactions(&self) -> usize {
-        self.obs.compactions.value() as usize
-    }
-
-    /// How many adaptive backend selections have run (thin read of
-    /// `li_backend_selections_total`). Under [`Backend::Auto`] every
-    /// shard (re)build — initial construction, each half of a split,
-    /// each merge, each compaction fold — runs exactly one selection;
-    /// under a pinned backend this stays 0.
-    pub fn backend_selections(&self) -> usize {
-        self.obs.backend_selections.value() as usize
-    }
-
-    /// How many of those selections *changed* the shard's backend
-    /// family from what it was before the rebuild (thin read of
-    /// `li_backend_switches_total`).
-    pub fn backend_switches(&self) -> usize {
-        self.obs.backend_switches.value() as usize
-    }
-
     /// How many shards currently serve from an all-B-Tree-leaf hybrid
     /// base (the write tier's tree family) rather than a plain RMI —
-    /// the structural ground truth the selection counters are checked
-    /// against in the stress suite.
+    /// the structural ground truth the `li_backend_selections_total`
+    /// and `li_backend_switches_total` counters are checked against in
+    /// the stress suite.
     pub fn hybrid_shards(&self) -> usize {
         self.read_topo()
             .shards
@@ -855,47 +849,24 @@ impl ShardedWritable {
         }
     }
 
-    /// Run the rebalancer until the topology is stable: repeatedly ask
-    /// [`plan`] for the next action (split the hottest overloaded or
-    /// mispredicting shard / merge the coldest adjacent pair), apply it
-    /// under the topology write lock, and publish the new topology
-    /// atomically. Returns the actions applied (empty when already
-    /// stable).
+    /// Run one rebalance pass now: fold every full run stack, then
+    /// repeatedly ask [`plan`] for the next action (split the hottest
+    /// overloaded or mispredicting shard / merge the coldest adjacent
+    /// pair) and apply it until the topology is stable. Returns the
+    /// splits and merges applied (empty when already stable).
     ///
-    /// Safe to call from any thread at any time; inserts block only for
-    /// the duration of the shard rebuilds actually performed.
+    /// Safe to call from any thread at any time, with or without a
+    /// [`crate::RebalanceWorker`] attached: passes are serialized, and
+    /// each split or merge rebuilds its shards with no topology lock
+    /// held, so concurrent inserts and snapshots wait only for the
+    /// brief publish (straggler drain and `Arc` swap).
     pub fn rebalance(&self) -> Vec<RebalanceAction> {
-        let mut guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
-        let mut applied = Vec::new();
-        // The hysteresis in `plan` prevents oscillation; the explicit
-        // bound is a backstop so a policy bug cannot hold the write
-        // lock forever.
-        let budget = self.rebalance_budget();
-        for _ in 0..budget {
-            let topo = &**guard;
-            let (lens, err_hot) = self.observe(topo);
-            let Some(action) = plan(&lens, &err_hot, &self.config.rebalance) else {
-                break;
-            };
-            let Some(next) = (match action {
-                RebalanceAction::Split { shard } => self.apply_split(topo, shard),
-                RebalanceAction::Merge { left } => Some(self.apply_merge(topo, left)),
-            }) else {
-                // Unsplittable in practice (e.g. a single giant
-                // duplicate-free run shorter than 2 keys cannot occur,
-                // but stay defensive): stop rather than spin.
-                break;
-            };
-            *guard = Arc::new(next);
-            self.note_rebalance(&action, &guard);
-            applied.push(action);
-        }
-        applied
+        self.rebalance_pass().actions
     }
 
-    /// One **background** rebalance step, designed to be driven by a
-    /// [`crate::RebalanceWorker`] so that inserts never pay shard
-    /// rebuild latency:
+    /// One rebalance step — the only split/merge implementation, run
+    /// by every [`ShardedWritable::rebalance_pass`] — built so that the
+    /// topology write lock is never held across a rebuild:
     ///
     /// 1. **Observe** under the read lock: snapshot lens/error stats,
     ///    ask [`plan`] for the next action, remember the topology
@@ -904,23 +875,22 @@ impl ShardedWritable {
     ///    retrain the replacement(s) with *no* topology lock held —
     ///    writes racing into the old shard(s) keep landing there.
     /// 3. **Publish + drain** under a brief write lock: if the
-    ///    generation still matches (else [`BackgroundStep::Raced`] —
-    ///    the caller re-plans), diff each rebuilt shard's current
-    ///    contents against its export and re-route the stragglers into
-    ///    the replacement shards by the *new* topology's ownership
-    ///    bounds, then swap in the new `Arc<Topology>`.
+    ///    generation still matches (else [`Step::Raced`] — the caller
+    ///    re-plans), diff each rebuilt shard's current contents against
+    ///    its export and re-route the stragglers into the replacement
+    ///    shards by the *new* topology's ownership bounds, then swap in
+    ///    the new `Arc<Topology>`.
     ///
-    /// The write lock is never held for the rebuild — that is the
-    /// whole point of the background mode. When no writes raced in
-    /// (shard lengths unchanged — the common case), the drain is a
-    /// pair of O(1) length checks; otherwise it re-exports the touched
-    /// shard for a linear diff plus the buffered straggler re-inserts.
-    pub(crate) fn rebalance_step_background(&self) -> BackgroundStep {
+    /// When no writes raced in (shard lengths unchanged — the common
+    /// case), the drain is a pair of O(1) length checks; otherwise it
+    /// re-exports the touched shard for a linear diff plus the buffered
+    /// straggler re-inserts.
+    fn rebalance_step(&self) -> Step {
         // Every phase below is timed into its own histogram
-        // (`li_pass_*_ns`) unconditionally — this is the cold worker
+        // (`li_pass_*_ns`) unconditionally — this is the cold rebalance
         // path, where a pair of clock reads per phase is noise against
         // an export + retrain, and the phase breakdown is exactly the
-        // tail-latency story the background mode exists to tell.
+        // tail-latency story the off-lock rebuild exists to tell.
 
         // Phase 1 — observe (read lock, released immediately).
         let t_observe = Instant::now();
@@ -931,7 +901,7 @@ impl ShardedWritable {
         let planned = plan(&lens, &err_hot, &self.config.rebalance);
         self.obs.pass_plan_ns.record_since(t_plan);
         let Some(action) = planned else {
-            return BackgroundStep::Stable;
+            return Step::Stable;
         };
         let gen0 = topo.generation;
 
@@ -944,7 +914,7 @@ impl ShardedWritable {
                 let exported = KeyStore::new(topo.shards[s].export_keys());
                 let Some(m) = split_point(exported.as_slice()) else {
                     // Fewer than two distinct keys: nothing to split.
-                    return BackgroundStep::Stable;
+                    return Step::Stable;
                 };
                 let boundary = exported[m];
                 let was_hybrid = Some(topo.shards[s].is_hybrid());
@@ -962,7 +932,7 @@ impl ShardedWritable {
                 let t_publish = Instant::now();
                 let mut guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
                 if guard.generation != gen0 {
-                    return BackgroundStep::Raced;
+                    return Step::Raced;
                 }
                 // Writers are excluded now: whatever raced into the old
                 // shard since the export is re-routed by the NEW
@@ -983,7 +953,7 @@ impl ShardedWritable {
                 *guard = Arc::new(next);
                 self.note_rebalance(&action, &guard);
                 self.obs.pass_publish_ns.record_since(t_publish);
-                BackgroundStep::Applied(action)
+                Step::Applied(action)
             }
             RebalanceAction::Merge { left: l } => {
                 // Phase 2 — rebuild off-lock. Adjacent ownership ranges:
@@ -1005,7 +975,7 @@ impl ShardedWritable {
                 let t_publish = Instant::now();
                 let mut guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
                 if guard.generation != gen0 {
-                    return BackgroundStep::Raced;
+                    return Step::Raced;
                 }
                 // Stragglers from either old shard belong to the merged
                 // shard's (concatenated) ownership range. Same O(1)
@@ -1031,15 +1001,14 @@ impl ShardedWritable {
                 *guard = Arc::new(next);
                 self.note_rebalance(&action, &guard);
                 self.obs.pass_publish_ns.record_since(t_publish);
-                BackgroundStep::Applied(action)
+                Step::Applied(action)
             }
         }
     }
 
     /// Account a just-published split or merge: bump the registry
-    /// counter (the single source of truth behind
-    /// [`ShardedWritable::splits`] / [`ShardedWritable::shard_merges`])
-    /// and trace the event with the new generation and shard count.
+    /// counter (`li_shard_splits_total` / `li_shard_merges_total`) and
+    /// trace the event with the new generation and shard count.
     /// Called with the topology write guard still held, right after the
     /// `Arc` swap, so the payload describes exactly the published
     /// topology.
@@ -1072,55 +1041,11 @@ impl ShardedWritable {
         (lens, err_hot)
     }
 
-    /// Backstop iteration bound for a rebalance pass (inline loop or
-    /// one background worker pass): generous enough for any cascade the
-    /// hysteresis admits, small enough that a policy bug cannot spin
-    /// forever.
-    pub(crate) fn rebalance_budget(&self) -> usize {
+    /// Backstop step bound for one rebalance pass: generous enough for
+    /// any cascade the hysteresis admits, small enough that a policy
+    /// bug cannot spin forever.
+    fn rebalance_budget(&self) -> usize {
         2 * self.config.rebalance.max_shards + 4
-    }
-
-    /// Split shard `s` at its balanced split point: the upper half of
-    /// its keys becomes a new sibling shard whose ownership range
-    /// starts at the recomputed boundary key. `None` when the shard has
-    /// no valid split point (fewer than two distinct keys). Runs under
-    /// the topology write lock (the inline path — the background path
-    /// rebuilds off-lock in `rebalance_step_background`).
-    fn apply_split(&self, topo: &Topology, s: usize) -> Option<Topology> {
-        let mut keys = topo.shards[s].export_keys();
-        let m = split_point(&keys)?;
-        let right_keys = keys.split_off(m);
-        let boundary = right_keys[0];
-        let was_hybrid = Some(topo.shards[s].is_hybrid());
-        let left = Arc::new(build_selected_shard(
-            keys,
-            &self.config,
-            &self.obs,
-            was_hybrid,
-        ));
-        let right = Arc::new(build_selected_shard(
-            right_keys,
-            &self.config,
-            &self.obs,
-            was_hybrid,
-        ));
-        Some(split_topology(topo, s, boundary, left, right))
-    }
-
-    /// Merge shards `left` and `left + 1`. Their ownership ranges are
-    /// adjacent, so concatenating their exports is already globally
-    /// sorted. Runs under the topology write lock (the inline path).
-    fn apply_merge(&self, topo: &Topology, left: usize) -> Topology {
-        let mut keys = topo.shards[left].export_keys();
-        keys.extend(topo.shards[left + 1].export_keys());
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "merge tore order");
-        let merged = Arc::new(build_selected_shard(
-            keys,
-            &self.config,
-            &self.obs,
-            Some(topo.shards[left].is_hybrid()),
-        ));
-        merge_topology(topo, left, merged)
     }
 
     // Poison recovery (all `self.topo` lock sites): the only mutation
@@ -1177,6 +1102,7 @@ impl ShardedWritable {
             inserts: AtomicUsize::new(0),
             obs,
             worker: RwLock::new(None),
+            pass: Mutex::new(()),
             wal: Mutex::new(None),
             durable: AtomicBool::new(false),
         }
@@ -1405,21 +1331,36 @@ pub struct RecoveryReport {
     pub last_lsn: u64,
 }
 
-/// Outcome of one [`ShardedWritable::rebalance_step_background`] call.
+/// Outcome of one [`ShardedWritable::rebalance_step`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BackgroundStep {
+enum Step {
     /// An action was applied and a new topology published.
     Applied(RebalanceAction),
-    /// The topology generation changed between observe and publish
-    /// (e.g. a manual [`ShardedWritable::rebalance`] call won the
-    /// race); the rebuild was discarded — observe again and re-plan.
+    /// The topology generation changed between observe and publish; the
+    /// rebuild was discarded — observe again and re-plan. Passes are
+    /// serialized and only a step publishes, so this is a backstop that
+    /// never publishes over a newer topology.
     Raced,
     /// The policy proposes nothing: the topology is stable.
     Stable,
 }
 
+/// What one [`ShardedWritable::rebalance_pass`] applied.
+#[derive(Debug, Default)]
+pub(crate) struct Pass {
+    /// Splits and merges published, in order.
+    pub(crate) actions: Vec<RebalanceAction>,
+    /// Shards whose full run stacks were folded into their bases.
+    pub(crate) compactions: usize,
+    /// Sealed runs those folds consumed.
+    pub(crate) runs_folded: usize,
+    /// Whether the pass ended on a stable topology (`false`: the step
+    /// budget ran out with work left).
+    pub(crate) stable: bool,
+}
+
 /// Keys in `now` but not in `then` — the writes that raced into a shard
-/// while the background path was rebuilding it. Both inputs are sorted
+/// while a rebalance step was rebuilding it. Both inputs are sorted
 /// unique, and `then ⊆ now` because inserts only ever add keys.
 fn straggler_diff(now: &[u64], then: &[u64]) -> Vec<u64> {
     debug_assert!(now.len() >= then.len(), "shards never shrink mid-rebuild");
@@ -1645,6 +1586,11 @@ mod tests {
         }
     }
 
+    /// A registry counter by name — the structure's only counter API.
+    fn count(sw: &ShardedWritable, name: &str) -> usize {
+        sw.metrics().counter(name).expect("registered") as usize
+    }
+
     fn tiered_cfg(max_runs: usize) -> ShardedWritableConfig {
         ShardedWritableConfig {
             max_runs,
@@ -1664,7 +1610,10 @@ mod tests {
             let key = k * 7 + 1;
             assert_eq!(sw.insert(key), oracle.insert(key), "key {key}");
         }
-        assert!(sw.compactions() >= 1, "full stacks must compact inline");
+        assert!(
+            count(&sw, "li_compactions_total") >= 1,
+            "full stacks must compact inline"
+        );
         // Nothing is ever left over-stacked: the insert that fills a
         // stack compacts it before returning.
         assert!(sw.run_count() < 2 * sw.shard_count());
@@ -1696,7 +1645,7 @@ mod tests {
         }
         assert_eq!(sw.run_count(), 0);
         assert_eq!(sw.sealed_keys(), 0);
-        assert_eq!(sw.compactions(), 0);
+        assert_eq!(count(&sw, "li_compactions_total"), 0);
     }
 
     #[test]
@@ -1742,12 +1691,17 @@ mod tests {
         for k in 1..=300u64 {
             sw.insert(k * 2);
         }
-        assert!(sw.splits() >= 1, "expected at least one split");
+        let splits = count(&sw, "li_shard_splits_total");
+        assert!(splits >= 1, "expected at least one split");
         assert!(sw.shard_count() > 1);
         assert_eq!(
             sw.generation(),
-            sw.splits() as u64 + sw.shard_merges() as u64
+            (splits + count(&sw, "li_shard_merges_total")) as u64
         );
+        // Every applied split rebuilt off-lock through the one step.
+        let m = sw.metrics();
+        let retrains = m.histogram("li_pass_retrain_ns").unwrap().count();
+        assert_eq!(retrains, sw.generation());
         // Every shard within budget after rebalancing settles.
         sw.rebalance();
         for len in sw.shard_lens() {
@@ -1768,7 +1722,7 @@ mod tests {
         assert_eq!(sw.shard_count(), 8);
         let actions = sw.rebalance();
         assert!(!actions.is_empty());
-        assert!(sw.shard_merges() >= 1);
+        assert!(count(&sw, "li_shard_merges_total") >= 1);
         assert!(sw.shard_count() < 8);
         // Nothing lost or duplicated.
         assert_eq!(sw.range_keys(0, u64::MAX), data);
@@ -1784,7 +1738,7 @@ mod tests {
         for k in 0..200u64 {
             sw.insert(k * 2 + 1);
         }
-        assert!(sw.splits() >= 1);
+        assert!(count(&sw, "li_shard_splits_total") >= 1);
         let after = sw.snapshot();
         assert!(after.generation() > gen_before);
         // The old snapshot still serves its pre-rebalance state.
@@ -2081,7 +2035,7 @@ mod tests {
         for k in 0..300u64 {
             tiered.insert(k * 8 + 3);
         }
-        let folds = tiered.compactions() as u64;
+        let folds = count(&tiered, "li_compactions_total") as u64;
         assert!(folds > 0, "full run stacks must compact");
         assert_eq!(trainings(&tiered).0, 2 + folds, "a seal is not a training");
     }
@@ -2143,7 +2097,10 @@ mod tests {
             }
         });
         assert_eq!(sw.len(), 4000);
-        assert!(sw.splits() >= 1, "inserts must have driven splits");
+        assert!(
+            count(&sw, "li_shard_splits_total") >= 1,
+            "inserts must have driven splits"
+        );
         let all = sw.range_keys(0, u64::MAX);
         assert!(all.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(all.len(), 4000);

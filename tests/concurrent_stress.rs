@@ -26,7 +26,8 @@
 //!    the base. Readers validate the three-tier bookkeeping of every
 //!    snapshot (base + sealed runs + pending buffer partition the
 //!    keyset) with no lock held; compaction is proven worker-only by
-//!    counter equality.
+//!    matching the worker's own pass tallies against the registry
+//!    totals.
 //! 5. **Metrics recording** — writers storm inserts while reader
 //!    threads continuously take `metrics()` snapshots and render the
 //!    text exposition. Every observed counter and histogram total
@@ -41,6 +42,11 @@
 //!    rebuild must *switch* a shard's backend family, and the final
 //!    topology must prove it structurally (a mix of RMI and
 //!    tree-family shards).
+//! 7. **Inline passes under storm** — with no worker, concurrent
+//!    writers trip the rebalance pass on their own threads; passes are
+//!    serialized, so the selection counter still equals the structural
+//!    tally (no shard rebuilt twice) and every published split or merge
+//!    is one off-lock rebuild.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,6 +61,11 @@ use learned_indexes::{KeyStore, RangeIndex};
 
 fn cfg() -> RmiConfig {
     RmiConfig::two_stage(TopModel::Linear, 64)
+}
+
+/// A registry counter by name — the structure's only counter API.
+fn count(sw: &ShardedWritable, name: &str) -> usize {
+    sw.metrics().counter(name).expect("registered") as usize
 }
 
 #[test]
@@ -243,7 +254,10 @@ fn sharded_writers_through_split_and_merge_cycles_never_tear_snapshots() {
 
     // Provoke the merge cycle before the writers heat the topology up.
     sw.rebalance();
-    assert!(sw.shard_merges() >= 1, "cold topology must merge first");
+    assert!(
+        count(&sw, "li_shard_merges_total") >= 1,
+        "cold topology must merge first"
+    );
 
     let done = AtomicBool::new(false);
     let snapshots_checked = AtomicUsize::new(0);
@@ -342,10 +356,10 @@ fn sharded_writers_through_split_and_merge_cycles_never_tear_snapshots() {
         });
     });
 
+    let splits = count(&sw, "li_shard_splits_total");
     assert!(
-        sw.splits() >= 1,
-        "writer load must run through at least one split cycle, got {}",
-        sw.splits()
+        splits >= 1,
+        "writer load must run through at least one split cycle, got {splits}"
     );
     assert!(
         snapshots_checked.load(Ordering::Relaxed) > 0,
@@ -364,15 +378,18 @@ fn sharded_writers_through_split_and_merge_cycles_never_tear_snapshots() {
     assert_eq!(dump.len(), expect.len());
     assert!(dump.iter().eq(expect.iter()), "final contents diverged");
     // The generation trail accounts for every topology publication.
-    assert_eq!(sw.generation(), (sw.splits() + sw.shard_merges()) as u64);
+    assert_eq!(
+        sw.generation(),
+        (splits + count(&sw, "li_shard_merges_total")) as u64
+    );
 }
 
 /// The writer-storm scenario for **background** rebalancing: with a
 /// `RebalanceWorker` attached, inserting threads never rebalance — they
-/// record pressure and signal. The storm must drive at least one shard
-/// *merge* and at least one shard *split*, and both must be executed by
-/// the worker thread (asserted by matching the worker's counters
-/// against the structure's — in background mode nobody else may
+/// only signal. The storm must drive at least one shard *merge* and at
+/// least one shard *split*, and both must be executed by the worker
+/// thread (asserted by matching what the worker's own passes applied
+/// against the registry totals — in background mode nobody else may
 /// publish a topology). Readers validate cross-shard snapshots
 /// lock-free throughout: a torn topology — or a key lost in the
 /// worker's off-lock rebuild / straggler hand-off — fails loudly.
@@ -407,7 +424,7 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
         worker.wait_until_stable(Duration::from_secs(60)),
         "worker failed to quiesce the cold topology"
     );
-    assert!(worker.merges() >= 1, "cold neighbors must merge");
+    assert!(worker.applied().merges >= 1, "cold neighbors must merge");
 
     let done = AtomicBool::new(false);
     let snapshots_checked = AtomicUsize::new(0);
@@ -502,23 +519,25 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
         worker.wait_until_stable(Duration::from_secs(60)),
         "worker failed to quiesce after the storm"
     );
+    let applied = worker.applied();
     assert!(
-        worker.splits() >= 1,
+        applied.splits >= 1,
         "storm must drive at least one background split, got {}",
-        worker.splits()
+        applied.splits
     );
     assert!(snapshots_checked.load(Ordering::Relaxed) > 0);
 
     // EVERY topology change was executed by the worker thread: the
-    // inserting threads recorded pressure only. (Any inline rebalance
-    // would make the structure's counters exceed the worker's.)
-    assert_eq!(worker.splits(), sw.splits(), "a non-worker thread split");
-    assert_eq!(
-        worker.merges(),
-        sw.shard_merges(),
-        "a non-worker thread merged"
+    // inserting threads only signaled. The tally comes from the worker's
+    // own pass results, so any inline pass would make the registry
+    // totals exceed it.
+    let (splits, merges) = (
+        count(&sw, "li_shard_splits_total"),
+        count(&sw, "li_shard_merges_total"),
     );
-    assert_eq!(sw.generation(), (sw.splits() + sw.shard_merges()) as u64);
+    assert_eq!(applied.splits, splits, "a non-worker thread split");
+    assert_eq!(applied.merges, merges, "a non-worker thread merged");
+    assert_eq!(sw.generation(), (splits + merges) as u64);
 
     // Quiesced means within budget.
     for len in sw.shard_lens() {
@@ -546,9 +565,10 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
 /// snapshot each shard's base, sealed runs and pending buffer
 /// partition that shard's keyset exactly, every run is sorted-unique,
 /// and `rank`/`contains` stay coherent mid-compaction. Worker-only
-/// compaction is proven by counter equality (`worker.compactions() ==
-/// sw.compactions()` — an inline compaction would break it), and with
-/// `max_runs = 2` every fold must consume at least two runs.
+/// compaction is proven by matching the folds the worker's own passes
+/// applied against the registry totals (an inline compaction would
+/// break it), and with `max_runs = 2` every fold must consume at least
+/// two runs.
 #[test]
 fn writer_storm_compactions_run_on_the_worker_and_never_tear_snapshots() {
     // Rebalance thresholds set far out of reach so the only background
@@ -665,30 +685,35 @@ fn writer_storm_compactions_run_on_the_worker_and_never_tear_snapshots() {
     // The storm sealed far more runs than one stack: the worker must
     // have compacted, and every fold consumed a full (>= max_runs)
     // stack in ONE retrain.
+    let applied = worker.applied();
     assert!(
-        worker.compactions() >= 1,
+        applied.compactions >= 1,
         "storm must drive at least one background compaction"
     );
     assert!(
-        worker.runs_compacted() >= 2 * worker.compactions(),
+        applied.runs_folded >= 2 * applied.compactions,
         "each fold must consume at least max_runs = 2 runs, got {} runs over {} folds",
-        worker.runs_compacted(),
-        worker.compactions()
+        applied.runs_folded,
+        applied.compactions
     );
 
     // EVERY compaction was executed by the worker thread — while a
-    // worker is attached the inserting threads only record pressure
-    // and signal, so the structure's counter and the worker's must
-    // match exactly.
+    // worker is attached the inserting threads only signal, so the
+    // registry totals must match the worker's own pass tallies exactly.
     assert_eq!(
-        worker.compactions(),
-        sw.compactions(),
+        applied.compactions,
+        count(&sw, "li_compactions_total"),
         "a non-worker thread compacted"
+    );
+    assert_eq!(
+        applied.runs_folded,
+        count(&sw, "li_runs_compacted_total"),
+        "a non-worker thread folded runs"
     );
     // And compaction is not a topology event: the quiet rebalance
     // thresholds mean no split or merge ever published.
-    assert_eq!(sw.splits(), 0);
-    assert_eq!(sw.shard_merges(), 0);
+    assert_eq!(count(&sw, "li_shard_splits_total"), 0);
+    assert_eq!(count(&sw, "li_shard_merges_total"), 0);
     assert_eq!(sw.generation(), 0);
 
     // Quiesced means no shard still owes a fold.
@@ -813,13 +838,12 @@ fn metrics_snapshots_stay_monotone_and_untorn_under_writer_storm() {
     let expected = (writers * per_writer as usize) as u64;
     assert_eq!(snap.counter("li_inserts_total"), Some(expected));
     // The storm provoked structure: splits recorded as both counter
-    // and ring events, and the accessors are thin reads of the same
-    // registry the snapshot came from.
-    assert_eq!(
-        snap.counter("li_shard_splits_total"),
-        Some(sw.splits() as u64)
-    );
-    assert!(sw.splits() >= 1, "storm must split");
+    // and ring events, and the snapshot's generation gauge accounts for
+    // every split and merge counted in the same snapshot.
+    let splits = snap.counter("li_shard_splits_total").expect("registered");
+    let merges = snap.counter("li_shard_merges_total").expect("registered");
+    assert!(splits >= 1, "storm must split");
+    assert_eq!(snap.gauge("li_generation"), Some((splits + merges) as i64));
     let events = snap.ring("li_events").expect("registered");
     assert!(events.iter().any(|e| e.name == "shard_split"), "{events:?}");
     // Sampled latency saw roughly 1-in-8 inserts (exact per stripe;
@@ -881,7 +905,7 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
     };
     let sw = Arc::new(ShardedWritable::new(initial.clone(), 4, config));
     assert_eq!(
-        sw.backend_selections(),
+        count(&sw, "li_backend_selections_total"),
         4,
         "initial build must run one selection per shard"
     );
@@ -959,40 +983,42 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
 
     // The storm must have driven shard 0 over its split threshold and
     // through at least one full run stack.
-    assert!(worker.splits() >= 1, "storm must split shard 0");
+    let applied = worker.applied();
+    assert!(applied.splits >= 1, "storm must split shard 0");
     assert!(
-        worker.compactions() >= 1,
+        applied.compactions >= 1,
         "storm must drive at least one compaction"
     );
-    assert_eq!(sw.shard_merges(), 0, "merges are disabled");
+    let (splits, merges, compactions) = (
+        count(&sw, "li_shard_splits_total"),
+        count(&sw, "li_shard_merges_total"),
+        count(&sw, "li_compactions_total"),
+    );
+    assert_eq!(merges, 0, "merges are disabled");
 
     // THE invariant: one grid search per shard built, ever. Initial
     // build selects once per shard; every split builds two shards;
     // every merge and every compaction builds one.
     assert_eq!(
-        sw.backend_selections(),
-        4 + 2 * sw.splits() + sw.shard_merges() + sw.compactions(),
+        count(&sw, "li_backend_selections_total"),
+        4 + 2 * splits + merges + compactions,
         "selection counter diverged from the structural event tally \
-         (splits={}, merges={}, compactions={})",
-        sw.splits(),
-        sw.shard_merges(),
-        sw.compactions()
+         (splits={splits}, merges={merges}, compactions={compactions})"
     );
-    // Worker-relative reads agree: attach-time baseline was 4.
+    // Every rebuild after the initial build was the worker's own.
     assert_eq!(
-        worker.backend_selections(),
-        2 * worker.splits() + worker.merges() + worker.compactions(),
-        "worker-relative selection tally diverged"
+        (applied.splits, applied.merges, applied.compactions),
+        (splits, merges, compactions),
+        "a non-worker thread rebuilt a shard"
     );
 
     // At least one rebuild flipped a family: shard 0's split halves
     // (~13k dense keys each) sit below the RMI/FAST crossover, while
     // it started on RMI.
     assert!(
-        sw.backend_switches() >= 1,
+        count(&sw, "li_backend_switches_total") >= 1,
         "the storm must switch at least one shard's backend family"
     );
-    assert_eq!(worker.backend_switches(), sw.backend_switches());
 
     // Structural proof, not just counters: the hot region's shards are
     // now tree-family, the three untouched dense shards still RMI.
@@ -1003,6 +1029,91 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
         "untouched dense shards must stay on RMI (hybrid={hybrid} of {})",
         sw.shard_count()
     );
+
+    // Exact final contents: initial keys + every storm key.
+    let mut expect: std::collections::BTreeSet<u64> = initial.into_iter().collect();
+    for w in 0..writers {
+        for i in 0..per_writer {
+            expect.insert((w * per_writer + i) * 64 + 1);
+        }
+    }
+    assert_eq!(sw.len(), expect.len());
+    let dump = sw.range_keys(0, u64::MAX);
+    assert!(dump.iter().eq(expect.iter()), "final contents diverged");
+}
+
+/// Case 7: the inline driver under a writer storm. With no worker
+/// attached, every writer whose insert trips a trigger runs the
+/// rebalance pass on its own thread — so while shard 0 sits over its
+/// split threshold, all four writers trip it at once. Passes are
+/// serialized: the first rebuilds the shard off-lock, the rest wait and
+/// then find the topology stable. A shard rebuilt twice (two passes
+/// racing on the same hot shard, the loser's rebuild discarded) would
+/// show as selections, trainings or pass retrains the structural tally
+/// does not account for.
+#[test]
+fn inline_writer_storm_rebuilds_each_shard_exactly_once() {
+    // The Auto storm's shape: four dense shards, a storm confined to
+    // shard 0 that seals runs, compacts stacks and splits the shard.
+    let initial: Vec<u64> = (0..96_000u64).map(|i| i * 64).collect();
+    let writers = 4u64;
+    let per_writer = 800u64;
+    let config = ShardedWritableConfig {
+        merge_threshold: 256,
+        check_interval: 0,
+        max_runs: 2,
+        backend: Backend::Auto,
+        rebalance: RebalanceConfig {
+            max_shard_len: 26_000,
+            merge_max_len: 0,
+            max_mean_err: None,
+            max_shards: 16,
+        },
+        ..ShardedWritableConfig::default()
+    };
+    let sw = ShardedWritable::new(initial.clone(), 4, config);
+    std::thread::scope(|scope| {
+        for w in 0..writers {
+            let sw = &sw;
+            scope.spawn(move || {
+                for i in 0..per_writer {
+                    sw.insert((w * per_writer + i) * 64 + 1);
+                }
+            });
+        }
+    });
+    assert!(!sw.has_background_worker());
+
+    let (splits, merges, compactions) = (
+        count(&sw, "li_shard_splits_total"),
+        count(&sw, "li_shard_merges_total"),
+        count(&sw, "li_compactions_total"),
+    );
+    assert!(splits >= 1, "the storm must split shard 0 inline");
+    assert!(compactions >= 1, "the storm must compact inline");
+    assert_eq!(merges, 0, "merges are disabled");
+
+    // One grid search and one training per shard built: the initial
+    // four, two per split, one per merge and per compaction (tiered
+    // shards seal instead of merging their buffers, so nothing else
+    // trains).
+    let built = 4 + 2 * splits + merges + compactions;
+    assert_eq!(
+        count(&sw, "li_backend_selections_total"),
+        built,
+        "a shard was selected twice (splits={splits}, compactions={compactions})"
+    );
+    assert_eq!(
+        count(&sw, "li_trainings_total"),
+        built,
+        "a shard was trained twice"
+    );
+    // Every inline split ran the one off-lock step: one timed rebuild
+    // per published split or merge, none discarded.
+    let m = sw.metrics();
+    let retrains = m.histogram("li_pass_retrain_ns").expect("registered");
+    assert_eq!(retrains.count(), (splits + merges) as u64);
+    assert_eq!(sw.generation(), (splits + merges) as u64);
 
     // Exact final contents: initial keys + every storm key.
     let mut expect: std::collections::BTreeSet<u64> = initial.into_iter().collect();

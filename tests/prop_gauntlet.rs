@@ -184,7 +184,9 @@ fn auto_writable_grows_from_degenerate_seeds() {
                 assert!(sw.contains(k), "lost {k} shards={shards}");
             }
             assert!(
-                sw.backend_selections() > 0,
+                sw.metrics()
+                    .counter("li_backend_selections_total")
+                    .is_some_and(|n| n > 0),
                 "auto writable must have run selection at least once"
             );
         }

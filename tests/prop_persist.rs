@@ -266,7 +266,7 @@ fn nonempty_run_stacks_round_trip_identically() {
     assert_eq!(sw.run_count(), 2, "the setup must leave sealed runs");
     assert_eq!(sw.sealed_keys(), 32);
     assert_eq!(sw.pending(), 8);
-    assert_eq!(sw.compactions(), 0);
+    assert_eq!(sw.metrics().counter("li_compactions_total"), Some(0));
     sw.save(&path).unwrap();
 
     let before = train_count();

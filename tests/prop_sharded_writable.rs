@@ -373,6 +373,11 @@ fn range_keys_at_the_top_of_the_domain() {
     );
 }
 
+/// A registry counter by name — the structure's only counter API.
+fn count(sw: &ShardedWritable, name: &str) -> usize {
+    sw.metrics().counter(name).expect("registered") as usize
+}
+
 // ---- Deterministic rebalance-trigger and edge-keyset coverage ----
 
 /// The acceptance-criteria run: one structure driven through at least
@@ -388,7 +393,10 @@ fn equivalence_through_a_split_and_a_merge() {
     let mut oracle: BTreeSet<u64> = init.iter().copied().collect();
     assert_eq!(sw.shard_count(), 8);
     sw.rebalance();
-    assert!(sw.shard_merges() >= 1, "cold topology must merge");
+    assert!(
+        count(&sw, "li_shard_merges_total") >= 1,
+        "cold topology must merge"
+    );
     assert_oracle_equivalence(&sw, &oracle).unwrap();
 
     // Phase 2 — heavy inserts: load-triggered splits.
@@ -396,13 +404,16 @@ fn equivalence_through_a_split_and_a_merge() {
         let key = k * 137 % 40_000;
         assert_eq!(sw.insert(key), oracle.insert(key), "insert {key}");
     }
-    assert!(sw.splits() >= 1, "insert load must split");
+    assert!(
+        count(&sw, "li_shard_splits_total") >= 1,
+        "insert load must split"
+    );
     assert_oracle_equivalence(&sw, &oracle).unwrap();
 
     // The topology actually changed and stayed paired with its router.
     assert_eq!(
         sw.generation(),
-        (sw.splits() + sw.shard_merges()) as u64,
+        (count(&sw, "li_shard_splits_total") + count(&sw, "li_shard_merges_total")) as u64,
         "every rebalance action published exactly one topology"
     );
 }
@@ -420,7 +431,10 @@ fn one_big_batch_drives_splits_and_matches_the_oracle() {
     let flags = sw.insert_batch(&batch);
     let want: Vec<bool> = batch.iter().map(|&k| oracle.insert(k)).collect();
     assert_eq!(flags, want);
-    assert!(sw.splits() >= 1, "an oversized batch must split");
+    assert!(
+        count(&sw, "li_shard_splits_total") >= 1,
+        "an oversized batch must split"
+    );
     assert_oracle_equivalence(&sw, &oracle).unwrap();
 }
 
@@ -444,7 +458,11 @@ fn single_key_and_all_duplicate_inserts() {
         assert!(!sw.insert(7), "duplicate of the single key");
     }
     assert_eq!(sw.len(), 1);
-    assert_eq!(sw.splits(), 0, "duplicates must not build up load");
+    assert_eq!(
+        count(&sw, "li_shard_splits_total"),
+        0,
+        "duplicates must not build up load"
+    );
     assert_oracle_equivalence(&sw, &oracle).unwrap();
     assert!(sw.insert(8) && oracle.insert(8));
     assert_oracle_equivalence(&sw, &oracle).unwrap();
@@ -474,7 +492,7 @@ fn old_snapshots_survive_rebalances_frozen() {
     for k in 0..200u64 {
         sw.insert(k * 4 + 1);
     }
-    assert!(sw.splits() >= 1);
+    assert!(count(&sw, "li_shard_splits_total") >= 1);
     assert_eq!(before.len(), 64, "frozen");
     assert!(!before.contains(1));
     assert_snapshot_internally_consistent(&before).unwrap();
